@@ -8,9 +8,7 @@
 //! `(ε,ρ)`-region queries, connect cells, and label — which is exactly
 //! the cell-based approximation of Gan & Tao that RP-DBSCAN generalises.
 
-use rpdbscan_core::label::{
-    assemble_clustering, extract_clusters, label_partition, predecessor_map,
-};
+use rpdbscan_core::label::{assemble_clustering, label_partition, LabelSupport};
 use rpdbscan_core::partition::{group_by_cell, Partition};
 use rpdbscan_core::phase2::{build_local_clustering, QueryRouting};
 use rpdbscan_engine::TaskError;
@@ -53,20 +51,12 @@ pub fn rho_approx_dbscan(
             core[p.index()] = true;
         }
     }
-    let g = local.subgraph;
-    debug_assert!(g.is_global(), "single partition graph must be global");
-    let clusters = extract_clusters(&g);
-    let preds = predecessor_map(&g);
-    let labeled = label_partition(
-        &part,
-        &g,
-        &clusters,
-        &preds,
-        &local.core_points,
-        index.dict(),
-        data,
-        eps,
-    )?;
+    debug_assert!(
+        local.subgraph.is_global(),
+        "single partition graph must be global"
+    );
+    let support = LabelSupport::build(local.subgraph);
+    let labeled = label_partition(&part, &support, &local.core_points, index.dict(), data, eps)?;
     Ok(RhoApproxOutput {
         clustering: assemble_clustering(data.len(), vec![labeled]),
         core,

@@ -8,7 +8,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpdbscan_core::graph::{CellSubgraph, CellType};
-use rpdbscan_core::merge::{merge_pair, tournament};
+use rpdbscan_core::merge::{merge_runs, tournament, Run, RunReader};
+use rpdbscan_engine::{CostModel, Engine};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -20,28 +21,28 @@ fn synth_subgraphs(k: usize, cells: u32, edges_per_graph: usize, seed: u64) -> V
     let slice = cells / k as u32;
     (0..k)
         .map(|i| {
-            let mut g = CellSubgraph::new();
             let lo = i as u32 * slice;
             let hi = if i == k - 1 { cells } else { lo + slice };
-            for c in lo..hi {
-                g.set_type(
-                    c,
-                    if rng.gen_bool(0.8) {
+            let types = (lo..hi)
+                .map(|c| {
+                    let t = if rng.gen_bool(0.8) {
                         CellType::Core
                     } else {
                         CellType::NonCore
-                    },
-                );
-            }
+                    };
+                    (c, t)
+                })
+                .collect();
+            let mut edges = Vec::with_capacity(edges_per_graph);
             for _ in 0..edges_per_graph {
                 let from = rng.gen_range(lo..hi);
                 // Edges target nearby cells, as real reachability does.
                 let to = (from as i64 + rng.gen_range(-40..40)).clamp(0, cells as i64 - 1) as u32;
                 if from != to {
-                    g.add_edge(from, to);
+                    edges.push((from, to));
                 }
             }
-            g
+            CellSubgraph::new(types, edges)
         })
         .collect()
 }
@@ -51,20 +52,30 @@ fn bench_tournament(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(500));
+    // One worker: the rounds run back to back, so this times the merge
+    // itself rather than the host's parallelism.
+    let engine = Engine::with_cost_model(1, CostModel::free());
     group.bench_function("tournament_16x5000_edges", |b| {
         b.iter_with_setup(
-            || synth_subgraphs(16, 20_000, 5_000, 7),
-            |graphs| black_box(tournament(graphs, |_, _| {}).num_edges()),
+            || {
+                synth_subgraphs(16, 20_000, 5_000, 7)
+                    .into_iter()
+                    .map(Run::Memory)
+                    .collect::<Vec<_>>()
+            },
+            |runs| {
+                let t = tournament(&engine, runs, None).expect("in-memory tournament");
+                black_box(t.global.num_edges())
+            },
         )
     });
-    group.bench_function("single_merge_pair", |b| {
-        b.iter_with_setup(
-            || {
-                let mut gs = synth_subgraphs(2, 20_000, 20_000, 9);
-                (gs.remove(0), gs.remove(0))
-            },
-            |(g1, g2)| black_box(merge_pair(g1, g2).num_edges()),
-        )
+    group.bench_function("single_merge_runs", |b| {
+        let gs = synth_subgraphs(2, 20_000, 20_000, 9);
+        b.iter(|| {
+            let (g, _) = merge_runs(RunReader::memory(&gs[0]), RunReader::memory(&gs[1]))
+                .expect("in-memory merge");
+            black_box(g.num_edges())
+        })
     });
     // Ablation: union without edge reduction (what merging would cost if
     // cycles were kept — the edge count never shrinks).
@@ -72,18 +83,9 @@ fn bench_tournament(c: &mut Criterion) {
         b.iter_with_setup(
             || synth_subgraphs(16, 20_000, 5_000, 7),
             |graphs| {
-                let mut all = CellSubgraph::new();
-                let mut edges = 0usize;
-                for g in graphs {
-                    for (&cell, &t) in g.types().iter() {
-                        all.set_type(cell, t);
-                    }
-                    for &(a, b2) in g.edges().iter() {
-                        all.add_edge(a, b2);
-                    }
-                    edges = all.num_edges();
-                }
-                black_box(edges)
+                let types = graphs.iter().flat_map(|g| g.types()).copied().collect();
+                let edges = graphs.iter().flat_map(|g| g.edges()).copied().collect();
+                black_box(CellSubgraph::new(types, edges).num_edges())
             },
         )
     });

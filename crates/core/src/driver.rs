@@ -5,9 +5,8 @@
 //! building + broadcast), `phase2` (cell graph construction), `phase3-1`
 //! (progressive merging), `phase3-2` (point labeling).
 
-use crate::graph::CellSubgraph;
-use crate::label::{assemble_clustering, extract_clusters, label_partition, predecessor_map};
-use crate::merge::merge_pair;
+use crate::label::{assemble_clustering, label_partition, LabelSupport};
+use crate::merge::{tournament, Run};
 use crate::params::RpDbscanParams;
 use crate::partition::{pseudo_random_partition, CellPoints, Partition};
 use crate::phase2::{build_local_clustering, QueryRouting};
@@ -221,7 +220,7 @@ impl RpDbscan {
             })?;
         let mut query_stats = QueryStats::default();
         let mut core_points: FxHashMap<u32, Vec<PointId>> = FxHashMap::default();
-        let mut graphs: Vec<CellSubgraph> = Vec::with_capacity(k);
+        let mut runs: Vec<Run> = Vec::with_capacity(k);
         let mut points_processed = 0u64;
         for local in locals.outputs {
             query_stats.merge(&local.stats);
@@ -229,57 +228,16 @@ impl RpDbscan {
             for (c, pts) in local.core_points {
                 core_points.entry(c).or_default().extend(pts);
             }
-            graphs.push(local.subgraph);
+            runs.push(Run::Memory(local.subgraph));
         }
 
         // ---- Phase III-1: progressive graph merging --------------------
-        let mut edges_per_round = vec![graphs.iter().map(|g| g.num_edges()).sum::<usize>()];
-        let mut round = 0;
-        while graphs.len() > 1 {
-            round += 1;
-            // Shuffle: every second subgraph moves to its match's worker.
-            let moved_bytes: u64 = graphs
-                .iter()
-                .skip(1)
-                .step_by(2)
-                .map(|g| g.wire_bytes())
-                .sum();
-            engine.shuffle_cost(&format!("phase3-1:shuffle-round-{round}"), moved_bytes);
-            let mut pairs: Vec<(CellSubgraph, Option<CellSubgraph>)> = Vec::new();
-            let mut it = graphs.into_iter();
-            while let Some(g1) = it.next() {
-                pairs.push((g1, it.next()));
-            }
-            let merged = engine.run_stage(
-                &format!("phase3-1:merge-round-{round}"),
-                pairs,
-                |_ctx, (g1, g2)| {
-                    Ok(match g2 {
-                        Some(g2) => merge_pair(g1, g2),
-                        None => g1,
-                    })
-                },
-            )?;
-            graphs = merged.outputs;
-            edges_per_round.push(graphs.iter().map(|g| g.num_edges()).sum());
-        }
-        let global = graphs.pop().unwrap_or_default();
-        debug_assert!(global.is_global(), "undetermined cells after full merge");
+        let merged = tournament(engine, runs, None)?;
 
         // ---- Phase III-2: point labeling -------------------------------
-        let clusters = extract_clusters(&global);
-        let preds = predecessor_map(&global);
+        let support = LabelSupport::build(merged.global);
         let labeled = engine.run_stage("phase3-2:labeling", part_refs, |_ctx, part| {
-            label_partition(
-                part,
-                &global,
-                &clusters,
-                &preds,
-                &core_points,
-                index.dict(),
-                data,
-                p.eps,
-            )
+            label_partition(part, &support, &core_points, index.dict(), data, p.eps)
         })?;
         let clustering = assemble_clustering(data.len(), labeled.outputs);
 
@@ -289,9 +247,9 @@ impl RpDbscan {
             dict_subcells,
             dict_size_bits,
             dict_wire_bytes: wire_bytes,
-            edges_per_round,
+            edges_per_round: merged.edges_per_round,
             points_processed,
-            num_clusters: clusters.num_clusters,
+            num_clusters: support.clusters.num_clusters,
             noise_points: clustering.noise_count(),
             num_partitions: k,
             query_subdicts_skipped: query_stats.subdicts_skipped as u64,

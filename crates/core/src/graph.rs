@@ -7,7 +7,6 @@
 //! when the successor's type is not yet known — so progressive edge-type
 //! detection (§6.1.3) is simply re-reading edges after vertex types merge.
 
-use rpdbscan_grid::{FxHashMap, FxHashSet};
 /// Vertex type of a cell in a cell (sub)graph.
 ///
 /// Ordered so that `max` implements Definition 6.2's promotion: a
@@ -33,61 +32,68 @@ pub enum EdgeType {
     Undetermined,
 }
 
-/// A cell (sub)graph: typed cells plus directed reachability edges.
-#[derive(Debug, Clone, Default)]
+/// A cell (sub)graph stored as a *sorted run*: typed cells plus directed
+/// reachability edges, both in ascending order. The order is what lets
+/// Phase III-1 merge two graphs in one streaming pass
+/// ([`crate::merge::merge_runs`]), whether they live in memory or in
+/// spill files.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CellSubgraph {
-    /// Determined vertex types; absent cells are `Undetermined`.
-    types: FxHashMap<u32, CellType>,
-    /// Directed edges `(from, to)`. `from` is always a core cell of the
-    /// originating partition. Full edges are normalised to
-    /// `(min, max)` once both endpoints are known core (direction is
-    /// irrelevant for them, §6.1.3).
-    edges: FxHashSet<(u32, u32)>,
+    /// Determined vertex types, ascending by cell, one entry per cell;
+    /// absent cells are `Undetermined`.
+    types: Vec<(u32, CellType)>,
+    /// Directed edges `(from, to)`, ascending and unique. `from` is
+    /// always a core cell of the originating partition. Full edges are
+    /// normalised to `(min, max)` once both endpoints are known core
+    /// (direction is irrelevant for them, §6.1.3).
+    edges: Vec<(u32, u32)>,
 }
 
 impl CellSubgraph {
-    /// An empty graph.
-    pub fn new() -> Self {
-        Self::default()
+    /// Builds a graph from types and edges in any order.
+    ///
+    /// Repeated cells are promoted following Definition 6.2:
+    /// `Undetermined` never overwrites a determined type. Conflicting
+    /// determined types cannot arise under pseudo random partitioning
+    /// (cells are partition-disjoint); under the true-random ablation a
+    /// cell may be marked core by one partition and non-core by another,
+    /// and core wins because core-ness is an existential property of the
+    /// whole data set. Repeated edges collapse; self edges are never
+    /// stored.
+    pub fn new(mut types: Vec<(u32, CellType)>, mut edges: Vec<(u32, u32)>) -> Self {
+        types.retain(|&(_, t)| t != CellType::Undetermined);
+        // Strongest type first within a cell, so the dedup keeps it.
+        types.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        types.dedup_by_key(|&mut (c, _)| c);
+        debug_assert!(edges.iter().all(|&(a, b)| a != b), "self edges");
+        edges.sort_unstable();
+        edges.dedup();
+        Self { types, edges }
     }
 
-    /// Sets (or promotes) the type of a cell.
-    ///
-    /// Promotion follows Definition 6.2: `Undetermined` never overwrites a
-    /// determined type. Conflicting determined types cannot arise under
-    /// pseudo random partitioning (cells are partition-disjoint); under the
-    /// true-random ablation a cell may be marked core by one partition and
-    /// non-core by another, and core wins because core-ness is an
-    /// existential property of the whole data set.
-    pub fn set_type(&mut self, cell: u32, t: CellType) {
-        if t == CellType::Undetermined {
-            return;
-        }
-        let entry = self.types.entry(cell).or_insert(CellType::Undetermined);
-        *entry = (*entry).max(t);
+    /// Wraps parts that are already a sorted run (merge output, decoded
+    /// spill files).
+    pub(crate) fn from_sorted(types: Vec<(u32, CellType)>, edges: Vec<(u32, u32)>) -> Self {
+        debug_assert!(types.windows(2).all(|w| w[0].0 < w[1].0), "types unsorted");
+        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges unsorted");
+        Self { types, edges }
     }
 
     /// The type of a cell (`Undetermined` when unknown).
     pub fn cell_type(&self, cell: u32) -> CellType {
-        self.types
-            .get(&cell)
-            .copied()
-            .unwrap_or(CellType::Undetermined)
+        match self.types.binary_search_by_key(&cell, |&(c, _)| c) {
+            Ok(i) => self.types[i].1,
+            Err(_) => CellType::Undetermined,
+        }
     }
 
-    /// Adds a directed edge from a core cell.
-    pub fn add_edge(&mut self, from: u32, to: u32) {
-        debug_assert_ne!(from, to, "self edges are never stored");
-        self.edges.insert((from, to));
-    }
-
-    /// The edge set.
-    pub fn edges(&self) -> &FxHashSet<(u32, u32)> {
+    /// The edges, ascending.
+    pub fn edges(&self) -> &[(u32, u32)] {
         &self.edges
     }
 
-    /// Determined vertex types.
-    pub fn types(&self) -> &FxHashMap<u32, CellType> {
+    /// Determined vertex types, ascending by cell.
+    pub fn types(&self) -> &[(u32, CellType)] {
         &self.types
     }
 
@@ -113,7 +119,6 @@ impl CellSubgraph {
     /// Counts edges by current type — `(full, partial, undetermined)`.
     pub fn edge_type_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
-        // lint:allow(unordered-iter): tallying only — the three counters are order-insensitive
         for &(a, b) in &self.edges {
             match self.edge_type(a, b) {
                 EdgeType::Full => counts.0 += 1,
@@ -137,19 +142,6 @@ impl CellSubgraph {
     /// `(u32, u8)` per typed vertex and two `u32` per edge.
     pub fn wire_bytes(&self) -> u64 {
         (self.types.len() * 5 + self.edges.len() * 8) as u64
-    }
-
-    /// Consumes helpers for the merge phase.
-    pub(crate) fn into_parts(self) -> (FxHashMap<u32, CellType>, FxHashSet<(u32, u32)>) {
-        (self.types, self.edges)
-    }
-
-    /// Rebuilds from parts (merge phase).
-    pub(crate) fn from_parts(
-        types: FxHashMap<u32, CellType>,
-        edges: FxHashSet<(u32, u32)>,
-    ) -> Self {
-        Self { types, edges }
     }
 }
 
@@ -204,44 +196,52 @@ impl UnionFind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use CellType::{Core, NonCore, Undetermined};
 
     #[test]
     fn type_promotion_follows_definition_6_2() {
-        let mut g = CellSubgraph::new();
-        g.set_type(1, CellType::Undetermined);
-        assert_eq!(g.cell_type(1), CellType::Undetermined);
-        g.set_type(1, CellType::NonCore);
-        assert_eq!(g.cell_type(1), CellType::NonCore);
-        g.set_type(1, CellType::Undetermined); // never demotes
-        assert_eq!(g.cell_type(1), CellType::NonCore);
-        g.set_type(1, CellType::Core); // ablation promotion path
-        assert_eq!(g.cell_type(1), CellType::Core);
+        let g = CellSubgraph::new(vec![(1, Undetermined)], vec![]);
+        assert_eq!(g.cell_type(1), Undetermined);
+        assert!(g.types().is_empty(), "undetermined cells are never stored");
+        // Never demotes, whatever the input order.
+        let g = CellSubgraph::new(vec![(1, NonCore), (1, Undetermined)], vec![]);
+        assert_eq!(g.cell_type(1), NonCore);
+        let g = CellSubgraph::new(vec![(1, Undetermined), (1, NonCore)], vec![]);
+        assert_eq!(g.cell_type(1), NonCore);
+        // Ablation promotion path.
+        let g = CellSubgraph::new(vec![(1, NonCore), (1, Core), (1, NonCore)], vec![]);
+        assert_eq!(g.types(), &[(1, Core)]);
+    }
+
+    #[test]
+    fn runs_are_sorted() {
+        let g = CellSubgraph::new(
+            vec![(9, Core), (2, NonCore), (5, Core)],
+            vec![(9, 2), (5, 9), (5, 2)],
+        );
+        assert_eq!(g.types(), &[(2, NonCore), (5, Core), (9, Core)]);
+        assert_eq!(g.edges(), &[(5, 2), (5, 9), (9, 2)]);
     }
 
     #[test]
     fn edge_types_derive_from_endpoints() {
-        let mut g = CellSubgraph::new();
-        g.set_type(0, CellType::Core);
-        g.set_type(1, CellType::Core);
-        g.set_type(2, CellType::NonCore);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(0, 3); // 3 unknown
+        let types = vec![(0, Core), (1, Core), (2, NonCore)];
+        // 3 unknown
+        let edges = vec![(0, 1), (0, 2), (0, 3)];
+        let g = CellSubgraph::new(types.clone(), edges.clone());
         assert_eq!(g.edge_type(0, 1), EdgeType::Full);
         assert_eq!(g.edge_type(0, 2), EdgeType::Partial);
         assert_eq!(g.edge_type(0, 3), EdgeType::Undetermined);
         assert_eq!(g.edge_type_counts(), (1, 1, 1));
         assert!(!g.is_global());
-        g.set_type(3, CellType::NonCore);
-        assert!(g.is_global());
+        let mut types = types;
+        types.push((3, NonCore));
+        assert!(CellSubgraph::new(types, edges).is_global());
     }
 
     #[test]
     fn duplicate_edges_collapse() {
-        let mut g = CellSubgraph::new();
-        g.set_type(0, CellType::Core);
-        g.add_edge(0, 1);
-        g.add_edge(0, 1);
+        let g = CellSubgraph::new(vec![(0, Core)], vec![(0, 1), (0, 1)]);
         assert_eq!(g.num_edges(), 1);
     }
 
@@ -267,10 +267,8 @@ mod tests {
 
     #[test]
     fn wire_bytes_scale_with_content() {
-        let mut g = CellSubgraph::new();
-        assert_eq!(g.wire_bytes(), 0);
-        g.set_type(0, CellType::Core);
-        g.add_edge(0, 1);
+        assert_eq!(CellSubgraph::default().wire_bytes(), 0);
+        let g = CellSubgraph::new(vec![(0, Core)], vec![(0, 1)]);
         assert_eq!(g.wire_bytes(), 5 + 8);
     }
 }

@@ -26,30 +26,26 @@ pub struct GlobalClusters {
 /// Extracts clusters from the global cell graph: connected components of
 /// core cells under full edges (each spanning tree of Figure 10b is the
 /// maximal set of core cells forming one cluster).
-pub fn extract_clusters(g: &CellSubgraph) -> GlobalClusters {
-    let mut core_ids: Vec<u32> = g
+fn extract_clusters(g: &CellSubgraph) -> GlobalClusters {
+    let core_ids: Vec<u32> = g
         .types()
         .iter()
-        .filter(|(_, &t)| t == CellType::Core)
-        .map(|(&c, _)| c)
+        .filter(|&&(_, t)| t == CellType::Core)
+        .map(|&(c, _)| c)
         .collect();
-    core_ids.sort_unstable();
-    let dense: FxHashMap<u32, u32> = core_ids
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| (c, i as u32))
-        .collect();
+    // Union-find ids are positions in the sorted core list.
+    let dense = |c: u32| core_ids.partition_point(|&x| x < c) as u32;
     let mut uf = UnionFind::new(core_ids.len());
     for &(a, b) in g.edges() {
         if g.cell_type(a) == CellType::Core && g.cell_type(b) == CellType::Core {
-            uf.union(dense[&a], dense[&b]);
+            uf.union(dense(a), dense(b));
         }
     }
     // Dense cluster ids in order of first appearance over sorted cells.
     let mut cluster_of_root: FxHashMap<u32, u32> = FxHashMap::default();
     let mut cluster_of_cell: FxHashMap<u32, u32> = FxHashMap::default();
-    for &cell in &core_ids {
-        let root = uf.find(dense[&cell]);
+    for (i, &cell) in core_ids.iter().enumerate() {
+        let root = uf.find(i as u32);
         let next = cluster_of_root.len() as u32;
         let cid = *cluster_of_root.entry(root).or_insert(next);
         cluster_of_cell.insert(cell, cid);
@@ -89,7 +85,7 @@ impl LabelSupport {
 
 /// Predecessor core cells of every non-core cell: the `PC` set of
 /// Algorithm 4, Line 18, read off the global graph's partial edges.
-pub fn predecessor_map(g: &CellSubgraph) -> FxHashMap<u32, Vec<u32>> {
+fn predecessor_map(g: &CellSubgraph) -> FxHashMap<u32, Vec<u32>> {
     let mut preds: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
     for &(a, b) in g.edges() {
         if g.cell_type(a) == CellType::Core && g.cell_type(b) == CellType::NonCore {
@@ -103,20 +99,17 @@ pub fn predecessor_map(g: &CellSubgraph) -> FxHashMap<u32, Vec<u32>> {
     preds
 }
 
-/// Labels the points of one partition from the global graph
-/// (Algorithm 4, Lines 10–23). Returns `(point, label)` pairs; `None`
-/// labels are outliers.
+/// Labels the points of one partition from the global graph's label
+/// support (Algorithm 4, Lines 10–23). Returns `(point, label)` pairs;
+/// `None` labels are outliers.
 ///
 /// Runs inside a `run_stage` task, so internal-consistency violations
 /// (a partition cell absent from the dictionary, an undetermined cell
 /// in a supposedly global graph) surface as [`TaskError`]s and flow
 /// through the engine's failure path instead of panicking a worker.
-#[allow(clippy::too_many_arguments)]
 pub fn label_partition(
     partition: &Partition,
-    g: &CellSubgraph,
-    clusters: &GlobalClusters,
-    preds: &FxHashMap<u32, Vec<u32>>,
+    support: &LabelSupport,
     core_points: &FxHashMap<u32, Vec<PointId>>,
     dict: &rpdbscan_grid::CellDictionary,
     data: &Dataset,
@@ -131,10 +124,10 @@ pub fn label_partition(
                 cell.coord
             ))
         })?;
-        match g.cell_type(idx) {
+        match support.global.cell_type(idx) {
             CellType::Core => {
                 // All points of a core cell share its cluster (Lines 13–16).
-                let cid = clusters.cluster_of_cell[&idx];
+                let cid = support.clusters.cluster_of_cell[&idx];
                 for &p in &cell.points {
                     out.push((p, Some(cid)));
                 }
@@ -149,7 +142,7 @@ pub fn label_partition(
                 // resolve identically across runs and across the batch and
                 // streaming pipelines.
                 let empty = Vec::new();
-                let mut pred_cells = preds.get(&idx).unwrap_or(&empty).clone();
+                let mut pred_cells = support.preds.get(&idx).unwrap_or(&empty).clone();
                 pred_cells.sort_unstable_by(|a, b| dict.entry(*a).coord.cmp(&dict.entry(*b).coord));
                 for &q in &cell.points {
                     let qc = data.point(q);
@@ -158,7 +151,7 @@ pub fn label_partition(
                         if let Some(cores) = core_points.get(&pc) {
                             for &p in cores {
                                 if dist2(data.point(p), qc) <= eps2 {
-                                    label = Some(clusters.cluster_of_cell[&pc]);
+                                    label = Some(support.clusters.cluster_of_cell[&pc]);
                                     break 'search;
                                 }
                             }
@@ -192,9 +185,10 @@ pub fn assemble_clustering(n: usize, parts: Vec<Vec<(PointId, Option<u32>)>>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::tournament;
+    use crate::merge::{tournament, Run};
     use crate::partition::{group_by_cell, pseudo_random_partition};
     use crate::phase2::{build_local_clustering, QueryRouting};
+    use rpdbscan_engine::{CostModel, Engine};
     use rpdbscan_grid::{CellDictionary, DictionaryIndex, GridSpec};
 
     /// End-to-end mini pipeline (partition → phase2 → merge → label) used
@@ -224,29 +218,17 @@ mod tests {
             for (c, pts) in l.core_points {
                 core_points.entry(c).or_default().extend(pts);
             }
-            graphs.push(l.subgraph);
+            graphs.push(Run::Memory(l.subgraph));
         }
-        let g = tournament(graphs, |_, _| {});
+        let engine = Engine::with_cost_model(2, CostModel::free());
+        let g = tournament(&engine, graphs, None).unwrap().global;
         assert!(g.is_global());
-        let clusters = extract_clusters(&g);
-        let preds = predecessor_map(&g);
+        let support = LabelSupport::build(g);
         let labeled: Vec<_> = parts
             .iter()
-            .map(|p| {
-                label_partition(
-                    p,
-                    &g,
-                    &clusters,
-                    &preds,
-                    &core_points,
-                    index.dict(),
-                    &data,
-                    eps,
-                )
-                .unwrap()
-            })
+            .map(|p| label_partition(p, &support, &core_points, index.dict(), &data, eps).unwrap())
             .collect();
-        (assemble_clustering(data.len(), labeled), clusters)
+        (assemble_clustering(data.len(), labeled), support.clusters)
     }
 
     fn blob(cx: f64, cy: f64, n: usize, spread: f64) -> Vec<Vec<f64>> {
@@ -313,10 +295,14 @@ mod tests {
 
     #[test]
     fn extract_clusters_counts_isolated_core_cells() {
-        let mut g = CellSubgraph::new();
-        g.set_type(0, CellType::Core);
-        g.set_type(5, CellType::Core);
-        g.set_type(9, CellType::NonCore);
+        let g = CellSubgraph::new(
+            vec![
+                (0, CellType::Core),
+                (5, CellType::Core),
+                (9, CellType::NonCore),
+            ],
+            vec![],
+        );
         let c = extract_clusters(&g);
         assert_eq!(c.num_clusters, 2);
         assert_ne!(c.cluster_of_cell[&0], c.cluster_of_cell[&5]);
@@ -325,13 +311,15 @@ mod tests {
 
     #[test]
     fn predecessor_map_collects_partial_edges_only() {
-        let mut g = CellSubgraph::new();
-        g.set_type(0, CellType::Core);
-        g.set_type(1, CellType::Core);
-        g.set_type(2, CellType::NonCore);
-        g.add_edge(0, 1); // full
-        g.add_edge(0, 2); // partial
-        g.add_edge(1, 2); // partial
+        let g = CellSubgraph::new(
+            vec![
+                (0, CellType::Core),
+                (1, CellType::Core),
+                (2, CellType::NonCore),
+            ],
+            // One full edge, then two partial ones.
+            vec![(0, 1), (0, 2), (1, 2)],
+        );
         let p = predecessor_map(&g);
         assert_eq!(p.len(), 1);
         assert_eq!(p[&2], vec![0, 1]);

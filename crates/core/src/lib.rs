@@ -143,3 +143,9 @@ impl From<rpdbscan_store::StoreError> for CoreError {
         CoreError::Store(e)
     }
 }
+
+/// Converts a store-layer failure inside an engine task into the
+/// engine's task-failure currency.
+pub(crate) fn task_err(e: rpdbscan_store::StoreError) -> rpdbscan_engine::TaskError {
+    rpdbscan_engine::TaskError::new(e.to_string())
+}

@@ -4,11 +4,11 @@
 //! [`RpDbscan::run`], but point coordinates never live in memory as a
 //! whole: Phase I-2's dictionary build and Phase II's region queries
 //! gather one cell at a time through a byte-budgeted
-//! [`BufferPool`], and Phase III-1 merges cell graphs through spill
-//! files — each partition's subgraph is serialized to disk after Phase
-//! II, and every tournament match streams two spill files against each
-//! other, holding only the merged type table and the survivor edge list
-//! (the *frontier*) in memory.
+//! [`BufferPool`], and Phase III-1 keeps cell graphs in spill files —
+//! each partition's subgraph is written to disk after Phase II, and the
+//! tournament's matches stream two files against each other, holding
+//! only the merged type table, the core-cell union-find and the survivor
+//! edge list (the *frontier*) in memory.
 //!
 //! The output is bit-identical to the resident pipeline on the same
 //! parameters, by construction rather than by accident:
@@ -20,28 +20,26 @@
 //! * Phase II feeds the shared [`LocalBuilder`] the same ids and the
 //!   same (bit-exact, round-tripped through the file) coordinates in
 //!   the same order;
-//! * the spill merge consumes edges in the same sorted order the
-//!   resident `merge_pair` sorts them into, so the union-find keeps the
-//!   same spanning forest.
+//! * Phase III-1 is the same [`tournament`] and the same
+//!   [`crate::merge::merge_runs`] as the resident run; only where a
+//!   match's output is kept differs.
 //!
 //! The equivalence suite pins all of this across dimensions, densities,
 //! budgets and partition counts.
 
 use crate::driver::{RpDbscan, RpDbscanOutput, RunStats};
-use crate::graph::{CellSubgraph, CellType, UnionFind};
+use crate::graph::CellType;
 use crate::label::{assemble_clustering, LabelSupport};
+use crate::merge::{tournament, Run};
 use crate::partition::pseudo_random_deal;
 use crate::phase2::{LocalBuilder, PointSource, QueryRouting};
-use crate::CoreError;
+use crate::{task_err, CoreError};
 use rpdbscan_engine::{Engine, TaskError};
 use rpdbscan_geom::PointId;
-use rpdbscan_grid::{CellDictionary, CellEntry, DictionaryIndex, FxHashMap, FxHashSet, QueryStats};
-use rpdbscan_store::{BufferPool, ColumnStore, SpillDir, SpillHandle, SpillReader, StoreError};
+use rpdbscan_grid::{CellDictionary, CellEntry, DictionaryIndex, FxHashMap, QueryStats};
+use rpdbscan_store::{BufferPool, ColumnStore, SpillDir, StoreError};
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// A spilled per-partition cell graph: its file handle plus edge count.
-type SpilledGraph = (SpillHandle, usize);
 
 /// Knobs of the out-of-core pipeline.
 #[derive(Debug, Clone)]
@@ -170,69 +168,27 @@ impl RpDbscan {
                     )?;
                 }
                 let local = builder.finish();
-                let (handle, edges) = spill_subgraph(&spill, &local.subgraph).map_err(task_err)?;
-                Ok((handle, edges, local.core_points, local.stats, local.queries))
+                let run = Run::keep(local.subgraph, Some(&spill)).map_err(task_err)?;
+                Ok((run, local.core_points, local.stats, local.queries))
             })?;
         let mut query_stats = QueryStats::default();
         let mut core_points: FxHashMap<u32, Vec<PointId>> = FxHashMap::default();
-        let mut handles: Vec<SpilledGraph> = Vec::with_capacity(k);
+        let mut runs: Vec<Run> = Vec::with_capacity(k);
         let mut points_processed = 0u64;
-        for (handle, edges, cores, stats, queries) in locals.outputs {
+        for (run, cores, stats, queries) in locals.outputs {
             query_stats.merge(&stats);
             points_processed += queries;
             for (c, pts) in cores {
                 core_points.entry(c).or_default().extend(pts);
             }
-            handles.push((handle, edges));
+            runs.push(run);
         }
 
         // ---- Phase III-1: progressive merging over spill files --------
-        let mut edges_per_round = vec![handles.iter().map(|(_, e)| e).sum::<usize>()];
-        let mut merge_peak_frontier = 0u64;
-        let mut round = 0;
-        while handles.len() > 1 {
-            round += 1;
-            let moved_bytes: u64 = handles
-                .iter()
-                .skip(1)
-                .step_by(2)
-                .map(|(h, _)| h.bytes())
-                .sum();
-            engine.shuffle_cost(&format!("phase3-1:shuffle-round-{round}"), moved_bytes);
-            let mut pairs: Vec<(SpilledGraph, Option<SpilledGraph>)> = Vec::new();
-            let mut it = handles.into_iter();
-            while let Some(h1) = it.next() {
-                pairs.push((h1, it.next()));
-            }
-            let merged = engine.run_stage(
-                &format!("phase3-1:merge-round-{round}"),
-                pairs,
-                |_ctx, (h1, h2)| {
-                    Ok(match h2 {
-                        Some(h2) => merge_spill_pair(&spill, &h1.0, &h2.0).map_err(task_err)?,
-                        None => (h1.0, h1.1, 0),
-                    })
-                },
-            )?;
-            handles = Vec::with_capacity(merged.outputs.len());
-            for (handle, edges, frontier) in merged.outputs {
-                merge_peak_frontier = merge_peak_frontier.max(frontier);
-                handles.push((handle, edges));
-            }
-            edges_per_round.push(handles.iter().map(|(_, e)| e).sum());
-        }
-        let global = match handles.pop() {
-            Some((handle, _)) => {
-                let g = read_spill_graph(&spill, &handle)?;
-                spill.remove(&handle)?;
-                g
-            }
-            None => CellSubgraph::new(),
-        };
-        debug_assert!(global.is_global(), "undetermined cells after full merge");
+        let merged = tournament(engine, runs, Some(&spill))?;
 
         // ---- Phase III-2: point labeling -------------------------------
-        let supports = LabelSupport::build(global);
+        let supports = LabelSupport::build(merged.global);
         let eps2 = p.eps * p.eps;
         let labeled = engine.run_stage("phase3-2:labeling", part_refs, |_ctx, part| {
             label_ooc_partition(part, &pool, &index, &supports, &core_points, eps2)
@@ -247,7 +203,7 @@ impl RpDbscan {
             dict_subcells,
             dict_size_bits,
             dict_wire_bytes: wire_bytes,
-            edges_per_round,
+            edges_per_round: merged.edges_per_round,
             points_processed,
             num_clusters: supports.clusters.num_clusters,
             noise_points: clustering.noise_count(),
@@ -269,16 +225,10 @@ impl RpDbscan {
             pool_peak_tracked_bytes: pool_stats.peak_tracked_bytes,
             spill_bytes_written: spill_stats.bytes_written,
             spill_bytes_read: spill_stats.bytes_read,
-            merge_peak_frontier_bytes: merge_peak_frontier,
+            merge_peak_frontier_bytes: merged.peak_frontier_bytes,
         };
         Ok(RpDbscanOutput { clustering, stats })
     }
-}
-
-/// Converts a store-layer failure inside an engine task into the
-/// engine's task-failure currency.
-fn task_err(e: StoreError) -> TaskError {
-    TaskError::new(e.to_string())
 }
 
 /// Labels one out-of-core partition: core cells inherit their cluster,
@@ -381,260 +331,4 @@ fn label_ooc_partition(
         }
     }
     Ok(out)
-}
-
-/// Serializes a cell subgraph to a spill file: a sorted `(cell, type)`
-/// table, then a sorted edge list. Sorting here is what lets the merge
-/// stream both inputs without re-sorting — and it is the *same* order
-/// the resident `merge_pair` sorts into, keeping the union-find walks
-/// identical.
-fn spill_subgraph(spill: &SpillDir, g: &CellSubgraph) -> Result<(SpillHandle, usize), StoreError> {
-    let mut types: Vec<(u32, CellType)> = g.types().iter().map(|(&c, &t)| (c, t)).collect();
-    types.sort_unstable_by_key(|&(c, _)| c);
-    let mut edges: Vec<(u32, u32)> = g.edges().iter().copied().collect();
-    edges.sort_unstable();
-    let mut w = spill.writer()?;
-    w.write_u64(types.len() as u64)?;
-    // lint:allow(unordered-iter): `types` was sorted above — the spill file is written in ascending cell order
-    for (c, t) in types {
-        w.write_u32(c)?;
-        w.write_u8(encode_type(t))?;
-    }
-    w.write_u64(edges.len() as u64)?;
-    let n_edges = edges.len();
-    // lint:allow(unordered-iter): `edges` was sorted two lines up — the spill file is written in ascending order
-    for (a, b) in edges {
-        w.write_u32(a)?;
-        w.write_u32(b)?;
-    }
-    Ok((w.finish()?, n_edges))
-}
-
-fn encode_type(t: CellType) -> u8 {
-    match t {
-        CellType::Undetermined => 0,
-        CellType::NonCore => 1,
-        CellType::Core => 2,
-    }
-}
-
-fn decode_type(v: u8) -> Result<CellType, StoreError> {
-    match v {
-        0 => Ok(CellType::Undetermined),
-        1 => Ok(CellType::NonCore),
-        2 => Ok(CellType::Core),
-        other => Err(StoreError::Corrupt {
-            what: "spill cell type",
-            detail: format!("unknown tag {other}"),
-        }),
-    }
-}
-
-/// One tournament match over spill files: streams both inputs, merges
-/// their type tables (max promotion, Definition 6.2), classifies edges
-/// against the merged types in globally sorted order, keeps one spanning
-/// forest over core cells (§6.1.4), writes the survivors to a new spill
-/// file and deletes the inputs. Returns the output handle, its edge
-/// count, and the frontier high-water mark in bytes (merged type table +
-/// union-find + survivor list — the only per-match memory).
-fn merge_spill_pair(
-    spill: &SpillDir,
-    h1: &SpillHandle,
-    h2: &SpillHandle,
-) -> Result<(SpillHandle, usize, u64), StoreError> {
-    let mut r1 = spill.open(h1)?;
-    let mut r2 = spill.open(h2)?;
-
-    // Merged type table: 2-way sorted merge with max promotion on ties.
-    let n1 = r1.read_u64()?;
-    let n2 = r2.read_u64()?;
-    let mut types: Vec<(u32, CellType)> = Vec::with_capacity((n1 + n2) as usize);
-    {
-        let mut s1 = TypeStream::new(&mut r1, n1);
-        let mut s2 = TypeStream::new(&mut r2, n2);
-        let mut a = s1.next()?;
-        let mut b = s2.next()?;
-        loop {
-            match (a, b) {
-                (Some((ca, ta)), Some((cb, tb))) => {
-                    if ca < cb {
-                        types.push((ca, ta));
-                        a = s1.next()?;
-                    } else if cb < ca {
-                        types.push((cb, tb));
-                        b = s2.next()?;
-                    } else {
-                        types.push((ca, ta.max(tb)));
-                        a = s1.next()?;
-                        b = s2.next()?;
-                    }
-                }
-                (Some(x), None) => {
-                    types.push(x);
-                    a = s1.next()?;
-                }
-                (None, Some(x)) => {
-                    types.push(x);
-                    b = s2.next()?;
-                }
-                (None, None) => break,
-            }
-        }
-    }
-    let type_of = |cell: u32| -> CellType {
-        match types.binary_search_by_key(&cell, |&(c, _)| c) {
-            Ok(i) => types[i].1,
-            Err(_) => CellType::Undetermined,
-        }
-    };
-    let core_ids: Vec<u32> = types
-        // lint:allow(unordered-iter): `types` is a sorted Vec here; this walk preserves ascending cell order
-        .iter()
-        .filter(|&&(_, t)| t == CellType::Core)
-        .map(|&(c, _)| c)
-        .collect();
-    let dense: FxHashMap<u32, u32> = core_ids
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| (c, i as u32))
-        .collect();
-    let mut uf = UnionFind::new(core_ids.len());
-
-    // Edge union in globally sorted order (the inputs are sorted, so a
-    // 2-way merge with dedup replays the resident sort-then-walk), with
-    // redundant-full-edge reduction inline.
-    let m1 = r1.read_u64()?;
-    let m2 = r2.read_u64()?;
-    let mut kept: Vec<(u32, u32)> = Vec::new();
-    {
-        let mut s1 = EdgeStream::new(&mut r1, m1);
-        let mut s2 = EdgeStream::new(&mut r2, m2);
-        let mut a = s1.next()?;
-        let mut b = s2.next()?;
-        while a.is_some() || b.is_some() {
-            let e = match (a, b) {
-                (Some(ea), Some(eb)) => {
-                    if ea < eb {
-                        a = s1.next()?;
-                        ea
-                    } else if eb < ea {
-                        b = s2.next()?;
-                        eb
-                    } else {
-                        a = s1.next()?;
-                        b = s2.next()?;
-                        ea
-                    }
-                }
-                (Some(ea), None) => {
-                    a = s1.next()?;
-                    ea
-                }
-                (None, Some(eb)) => {
-                    b = s2.next()?;
-                    eb
-                }
-                (None, None) => break,
-            };
-            let (x, y) = e;
-            if type_of(x) == CellType::Core && type_of(y) == CellType::Core {
-                let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
-                if uf.union(dense[&lo], dense[&hi]) {
-                    kept.push((lo, hi));
-                }
-            } else {
-                kept.push(e);
-            }
-        }
-    }
-    // Direction normalisation can reorder; restore the canonical order
-    // the next round's streams rely on.
-    kept.sort_unstable();
-    kept.dedup();
-
-    let frontier_bytes = (types.len() * 5 + core_ids.len() * 17 + kept.len() * 8) as u64;
-
-    drop(r1);
-    drop(r2);
-    let mut w = spill.writer()?;
-    w.write_u64(types.len() as u64)?;
-    // lint:allow(unordered-iter): `types` is the merge of two sorted streams — already in ascending cell order
-    for &(c, t) in &types {
-        w.write_u32(c)?;
-        w.write_u8(encode_type(t))?;
-    }
-    w.write_u64(kept.len() as u64)?;
-    for &(x, y) in &kept {
-        w.write_u32(x)?;
-        w.write_u32(y)?;
-    }
-    let handle = w.finish()?;
-    spill.remove(h1)?;
-    spill.remove(h2)?;
-    Ok((handle, kept.len(), frontier_bytes))
-}
-
-/// Reads a whole spill graph back into memory (only ever done for the
-/// final merged graph, whose size Figure 17's reduction keeps small).
-fn read_spill_graph(spill: &SpillDir, handle: &SpillHandle) -> Result<CellSubgraph, StoreError> {
-    let mut r = spill.open(handle)?;
-    let n = r.read_u64()?;
-    let mut types: FxHashMap<u32, CellType> = FxHashMap::default();
-    for _ in 0..n {
-        let c = r.read_u32()?;
-        let t = decode_type(r.read_u8()?)?;
-        types.insert(c, t);
-    }
-    let m = r.read_u64()?;
-    let mut edges: FxHashSet<(u32, u32)> = FxHashSet::default();
-    for _ in 0..m {
-        let a = r.read_u32()?;
-        let b = r.read_u32()?;
-        edges.insert((a, b));
-    }
-    Ok(CellSubgraph::from_parts(types, edges))
-}
-
-/// Counted reader over a spill file's type section.
-struct TypeStream<'a> {
-    r: &'a mut SpillReader,
-    left: u64,
-}
-
-impl<'a> TypeStream<'a> {
-    fn new(r: &'a mut SpillReader, n: u64) -> Self {
-        TypeStream { r, left: n }
-    }
-
-    fn next(&mut self) -> Result<Option<(u32, CellType)>, StoreError> {
-        if self.left == 0 {
-            return Ok(None);
-        }
-        self.left -= 1;
-        let c = self.r.read_u32()?;
-        let t = decode_type(self.r.read_u8()?)?;
-        Ok(Some((c, t)))
-    }
-}
-
-/// Counted reader over a spill file's edge section.
-struct EdgeStream<'a> {
-    r: &'a mut SpillReader,
-    left: u64,
-}
-
-impl<'a> EdgeStream<'a> {
-    fn new(r: &'a mut SpillReader, n: u64) -> Self {
-        EdgeStream { r, left: n }
-    }
-
-    fn next(&mut self) -> Result<Option<(u32, u32)>, StoreError> {
-        if self.left == 0 {
-            return Ok(None);
-        }
-        self.left -= 1;
-        let a = self.r.read_u32()?;
-        let b = self.r.read_u32()?;
-        Ok(Some((a, b)))
-    }
 }

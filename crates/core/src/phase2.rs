@@ -108,7 +108,9 @@ impl PointSource<'_> {
 /// allocates nothing in steady state regardless of the point source.
 #[derive(Debug)]
 pub struct LocalBuilder {
-    subgraph: CellSubgraph,
+    /// The partition's subgraph so far, unsorted until [`Self::finish`].
+    types: Vec<(u32, CellType)>,
+    edges: Vec<(u32, u32)>,
     core_points: FxHashMap<u32, Vec<PointId>>,
     stats: QueryStats,
     queries: u64,
@@ -122,7 +124,8 @@ impl LocalBuilder {
     /// A fresh builder for one partition under `index`'s grid.
     pub fn new(index: &DictionaryIndex) -> LocalBuilder {
         LocalBuilder {
-            subgraph: CellSubgraph::new(),
+            types: Vec::new(),
+            edges: Vec::new(),
             core_points: FxHashMap::default(),
             stats: QueryStats::default(),
             queries: 0,
@@ -189,28 +192,28 @@ impl LocalBuilder {
                 }
             }
         }
-        self.subgraph.set_type(
+        self.types.push((
             cell_idx,
             if is_core_cell {
                 CellType::Core
             } else {
                 CellType::NonCore
             },
-        );
+        ));
         if is_core_cell {
             self.neighbors.sort_unstable();
             self.neighbors.dedup();
-            for &nc in &self.neighbors {
-                self.subgraph.add_edge(cell_idx, nc);
-            }
+            self.edges
+                .extend(self.neighbors.iter().map(|&nc| (cell_idx, nc)));
         }
         Ok(())
     }
 
-    /// The partition's finished local clustering.
+    /// The partition's finished local clustering; sorts its subgraph
+    /// into a run.
     pub fn finish(self) -> LocalClustering {
         LocalClustering {
-            subgraph: self.subgraph,
+            subgraph: CellSubgraph::new(self.types, self.edges),
             core_points: self.core_points,
             stats: self.stats,
             queries: self.queries,
@@ -290,8 +293,8 @@ mod tests {
         let n_core = local
             .subgraph
             .types()
-            .values()
-            .filter(|&&t| t == CellType::Core)
+            .iter()
+            .filter(|&&(_, t)| t == CellType::Core)
             .count();
         assert!(n_core >= 1);
         // With minPts=4 and 0.1 spacing, eps=0.5 covers >= 4 neighbours
@@ -335,7 +338,7 @@ mod tests {
         let (parts, index) = setup(&spec, &data, 1);
         let local =
             build_local_clustering(&parts[0], &data, &index, 1, QueryRouting::Planned).unwrap();
-        for (&cell, &t) in local.subgraph.types().iter() {
+        for &(cell, t) in local.subgraph.types() {
             assert_eq!(t, CellType::Core, "cell {cell} not core at minPts=1");
         }
     }
@@ -348,7 +351,7 @@ mod tests {
             build_local_clustering(&parts[0], &data, &index, 1000, QueryRouting::Planned).unwrap();
         assert!(local.core_points.is_empty());
         assert_eq!(local.subgraph.num_edges(), 0);
-        for &t in local.subgraph.types().values() {
+        for &(_, t) in local.subgraph.types() {
             assert_eq!(t, CellType::NonCore);
         }
     }

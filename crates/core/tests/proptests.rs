@@ -2,12 +2,13 @@
 
 use proptest::prelude::*;
 use rpdbscan_core::graph::{CellSubgraph, CellType, UnionFind};
-use rpdbscan_core::merge::{merge_pair, tournament};
+use rpdbscan_core::merge::{merge_runs, tournament, write_run, Run, RunReader};
 use rpdbscan_core::partition::{group_by_cell, pseudo_random_partition};
 use rpdbscan_core::{RpDbscan, RpDbscanParams};
 use rpdbscan_engine::{CostModel, Engine};
 use rpdbscan_geom::Dataset;
 use rpdbscan_grid::GridSpec;
+use rpdbscan_store::SpillDir;
 
 fn dataset_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(-10.0f64..10.0, 2), 1..150)
@@ -24,16 +25,16 @@ fn subgraph_strategy() -> impl Strategy<Value = CellSubgraph> {
         prop::collection::vec((0u32..8, 0u32..8), 0..24),
     )
         .prop_map(|(types, raw_edges)| {
-            let mut g = CellSubgraph::new();
-            for (i, t) in types.iter().enumerate() {
-                g.set_type(i as u32, *t);
-            }
-            for (a, b) in raw_edges {
-                if a != b && g.cell_type(a) == CellType::Core {
-                    g.add_edge(a, b);
-                }
-            }
-            g
+            let edges = raw_edges
+                .into_iter()
+                .filter(|&(a, b)| a != b && types[a as usize] == CellType::Core)
+                .collect();
+            let types = types
+                .into_iter()
+                .enumerate()
+                .map(|(i, t)| (i as u32, t))
+                .collect();
+            CellSubgraph::new(types, edges)
         })
 }
 
@@ -89,16 +90,11 @@ proptest! {
         g2 in subgraph_strategy(),
     ) {
         // Reference: plain union without reduction.
-        let mut union = CellSubgraph::new();
-        for g in [&g1, &g2] {
-            for (&c, &t) in g.types() {
-                union.set_type(c, t);
-            }
-            for &(a, b) in g.edges() {
-                union.add_edge(a, b);
-            }
-        }
-        let merged = merge_pair(g1.clone(), g2.clone());
+        let union = CellSubgraph::new(
+            [g1.types(), g2.types()].concat(),
+            [g1.edges(), g2.edges()].concat(),
+        );
+        let (merged, _) = merge_runs(RunReader::memory(&g1), RunReader::memory(&g2)).unwrap();
         // Types agree.
         for c in 0..8u32 {
             prop_assert_eq!(merged.cell_type(c), union.cell_type(c));
@@ -109,11 +105,45 @@ proptest! {
         prop_assert!(merged.num_edges() <= union.num_edges());
     }
 
+    /// A run read back from its spill file is the run that was written.
+    #[test]
+    fn spill_encoding_round_trips(g in subgraph_strategy()) {
+        let spill = SpillDir::create(None).unwrap();
+        let handle = write_run(&spill, &g).unwrap();
+        prop_assert_eq!(RunReader::open(&spill, &handle).unwrap().read_all().unwrap(), g);
+    }
+
+    /// The merge is one function of its inputs: reading them from memory
+    /// or from spill files gives the same graph and frontier bytes.
+    #[test]
+    fn merge_is_independent_of_where_runs_live(
+        g1 in subgraph_strategy(),
+        g2 in subgraph_strategy(),
+    ) {
+        let resident = merge_runs(RunReader::memory(&g1), RunReader::memory(&g2)).unwrap();
+        let spill = SpillDir::create(None).unwrap();
+        let (h1, h2) = (write_run(&spill, &g1).unwrap(), write_run(&spill, &g2).unwrap());
+        let spilled = merge_runs(
+            RunReader::open(&spill, &h1).unwrap(),
+            RunReader::open(&spill, &h2).unwrap(),
+        )
+        .unwrap();
+        prop_assert_eq!(spilled.0.types(), resident.0.types());
+        prop_assert_eq!(spilled.0.edges(), resident.0.edges());
+        prop_assert_eq!(spilled.1, resident.1);
+    }
+
     /// Tournament order never changes core-cell connectivity.
     #[test]
     fn tournament_order_invariant(graphs in prop::collection::vec(subgraph_strategy(), 1..6)) {
-        let fwd = tournament(graphs.clone(), |_, _| {});
-        let rev = tournament(graphs.into_iter().rev().collect(), |_, _| {});
+        let engine = Engine::with_cost_model(2, CostModel::free());
+        let run = |gs: Vec<CellSubgraph>| {
+            tournament(&engine, gs.into_iter().map(Run::Memory).collect(), None)
+                .unwrap()
+                .global
+        };
+        let fwd = run(graphs.clone());
+        let rev = run(graphs.into_iter().rev().collect());
         prop_assert_eq!(core_components(&fwd, 8), core_components(&rev, 8));
     }
 

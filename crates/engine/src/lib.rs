@@ -13,8 +13,10 @@
 //!
 //! # Physical execution vs. the virtual cluster
 //!
-//! Tasks execute on a *physical* thread pool sized to the local machine,
-//! and each task's wall-clock duration is measured individually. Panics
+//! Tasks execute on a *physical* thread pool sized to the local machine
+//! (never wider than the virtual cluster, so a one-worker engine runs
+//! its tasks in order), and each task's wall-clock duration is measured
+//! individually. Panics
 //! are caught per task, failures can be retried ([`RetryPolicy`]), and a
 //! task whose retries are exhausted fails the whole stage with a
 //! [`StageError`]. Cluster behaviour is then *simulated*: the measured

@@ -28,7 +28,9 @@ struct EngineState {
 /// A simulated cluster executing MapReduce-style stages.
 ///
 /// `virtual_workers` controls the simulated cluster width (the paper's
-/// core count); physical execution always uses the local machine fully.
+/// core count); physical execution uses one thread per virtual worker, up
+/// to the local machine's parallelism, so a one-worker engine runs its
+/// tasks in order on one thread.
 /// The scheduling policy and the per-task retry policy are pluggable.
 ///
 /// ```
@@ -64,7 +66,7 @@ impl Engine {
         let virtual_workers = virtual_workers.max(1);
         Self {
             virtual_workers,
-            physical_threads: pool::physical_threads(),
+            physical_threads: pool::physical_threads().min(virtual_workers),
             cost,
             scheduler: Box::new(Fifo),
             retry: RetryPolicy::none(),

@@ -19,7 +19,7 @@
 
 use crate::patch::PatchSummary;
 use crate::ServeError;
-use rpdbscan_core::label::{extract_clusters, predecessor_map};
+use rpdbscan_core::label::LabelSupport;
 use rpdbscan_core::partition::group_by_cell;
 use rpdbscan_core::phase2::{build_local_clustering, QueryRouting};
 use rpdbscan_core::{Partition, RpDbscanOutput, RpDbscanParams};
@@ -298,7 +298,7 @@ impl ServingIndex {
     /// points) is rebuilt from the dataset with a single-partition
     /// Phase II pass under the same parameters, which reproduces the
     /// run's global cell graph exactly: the graph is
-    /// partition-independent, and `extract_clusters` assigns dense ids
+    /// partition-independent, and `LabelSupport` assigns dense ids
     /// by first appearance over coordinate-sorted core cells, so the
     /// rebuilt ids equal the stored labels' ids.
     pub fn from_batch(
@@ -332,11 +332,12 @@ impl ServingIndex {
             params.min_pts,
             QueryRouting::auto(&index),
         )?;
-        let clusters = extract_clusters(&local.subgraph);
-        let preds = predecessor_map(&local.subgraph);
+        let LabelSupport {
+            clusters, preds, ..
+        } = LabelSupport::build(local.subgraph);
         let dict = index.dict();
 
-        // `extract_clusters` numbers clusters by first appearance over
+        // `LabelSupport` numbers clusters by first appearance over
         // dictionary indices, and index order differs between this 1-way
         // rebuild (coordinate-sorted) and the original k-way run
         // (partition order) — the partitions of ids differ only by a
