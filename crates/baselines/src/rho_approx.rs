@@ -55,7 +55,7 @@ pub fn rho_approx_dbscan(
         local.subgraph.is_global(),
         "single partition graph must be global"
     );
-    let support = LabelSupport::build(local.subgraph);
+    let support = LabelSupport::build(local.subgraph, index.dict());
     let labeled = label_partition(&part, &support, &local.core_points, index.dict(), data, eps)?;
     Ok(RhoApproxOutput {
         clustering: assemble_clustering(data.len(), vec![labeled]),

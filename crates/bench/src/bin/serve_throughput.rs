@@ -144,9 +144,8 @@ fn main() {
         "kind", "shards", "queries", "qps", "p50(us)", "p95(us)", "p99(us)"
     );
     for &shards in &shard_counts {
-        let index = Arc::new(
-            ServingIndex::from_batch(&data, &out, &params, shards, 1).expect("index build"),
-        );
+        let index =
+            Arc::new(ServingIndex::from_batch(&data, &out, shards, 1).expect("index build"));
         // Three runs per shard count: label_of and classify against the
         // default warm-publish server, plus a classify_cold comparison
         // against a server that skips plan warming (build-on-miss).

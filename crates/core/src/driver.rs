@@ -5,6 +5,7 @@
 //! building + broadcast), `phase2` (cell graph construction), `phase3-1`
 //! (progressive merging), `phase3-2` (point labeling).
 
+use crate::export::CellGraph;
 use crate::label::{assemble_clustering, label_partition, LabelSupport};
 use crate::merge::{tournament, Run};
 use crate::params::RpDbscanParams;
@@ -91,13 +92,17 @@ pub struct RunStats {
     pub merge_peak_frontier_bytes: u64,
 }
 
-/// A finished clustering plus its statistics.
+/// A finished clustering plus its statistics and the cell graph it was
+/// labelled from.
 #[derive(Debug, Clone)]
 pub struct RpDbscanOutput {
     /// Point labels (None = outlier).
     pub clustering: Clustering,
     /// Run statistics.
     pub stats: RunStats,
+    /// The Phase III cell graph; [`CellGraph::export`] turns it into the
+    /// per-cell records the serving layer consumes.
+    pub cells: CellGraph,
 }
 
 /// The RP-DBSCAN algorithm, configured once and runnable on any dataset.
@@ -235,7 +240,7 @@ impl RpDbscan {
         let merged = tournament(engine, runs, None)?;
 
         // ---- Phase III-2: point labeling -------------------------------
-        let support = LabelSupport::build(merged.global);
+        let support = LabelSupport::build(merged.global, index.dict());
         let labeled = engine.run_stage("phase3-2:labeling", part_refs, |_ctx, part| {
             label_partition(part, &support, &core_points, index.dict(), data, p.eps)
         })?;
@@ -271,7 +276,16 @@ impl RpDbscan {
             spill_bytes_read: 0,
             merge_peak_frontier_bytes: 0,
         };
-        Ok(RpDbscanOutput { clustering, stats })
+        let cells = CellGraph {
+            dict: index.into_dict(),
+            support,
+            core_points,
+        };
+        Ok(RpDbscanOutput {
+            clustering,
+            stats,
+            cells,
+        })
     }
 }
 

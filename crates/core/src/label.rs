@@ -11,7 +11,7 @@ use crate::graph::{CellSubgraph, CellType, UnionFind};
 use crate::partition::Partition;
 use rpdbscan_engine::TaskError;
 use rpdbscan_geom::{dist2, Dataset, PointId};
-use rpdbscan_grid::FxHashMap;
+use rpdbscan_grid::{CellDictionary, FxHashMap};
 use rpdbscan_metrics::Clustering;
 
 /// Cluster assignment at the cell level: each core cell's cluster id.
@@ -66,15 +66,20 @@ pub struct LabelSupport {
     pub global: CellSubgraph,
     /// Cluster id per core cell.
     pub clusters: GlobalClusters,
-    /// Predecessor core cells per non-core cell.
+    /// Predecessor core cells per non-core cell, in cell-coordinate
+    /// order: the border tie-break order, which depends only on the data
+    /// — not on partition count, seed, or dictionary build order — so
+    /// ambiguous border points resolve identically across runs and
+    /// across the batch and streaming pipelines.
     pub preds: FxHashMap<u32, Vec<u32>>,
 }
 
 impl LabelSupport {
-    /// Extracts clusters and the predecessor map from the global graph.
-    pub fn build(global: CellSubgraph) -> LabelSupport {
+    /// Extracts clusters and the predecessor map from the global graph
+    /// over `dict`'s cell ids.
+    pub fn build(global: CellSubgraph, dict: &CellDictionary) -> LabelSupport {
         let clusters = extract_clusters(&global);
-        let preds = predecessor_map(&global);
+        let preds = predecessor_map(&global, dict);
         LabelSupport {
             global,
             clusters,
@@ -84,8 +89,9 @@ impl LabelSupport {
 }
 
 /// Predecessor core cells of every non-core cell: the `PC` set of
-/// Algorithm 4, Line 18, read off the global graph's partial edges.
-fn predecessor_map(g: &CellSubgraph) -> FxHashMap<u32, Vec<u32>> {
+/// Algorithm 4, Line 18, read off the global graph's partial edges and
+/// sorted by cell coordinate.
+fn predecessor_map(g: &CellSubgraph, dict: &CellDictionary) -> FxHashMap<u32, Vec<u32>> {
     let mut preds: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
     for &(a, b) in g.edges() {
         if g.cell_type(a) == CellType::Core && g.cell_type(b) == CellType::NonCore {
@@ -93,7 +99,8 @@ fn predecessor_map(g: &CellSubgraph) -> FxHashMap<u32, Vec<u32>> {
         }
     }
     for v in preds.values_mut() {
-        v.sort_unstable();
+        // Coordinates are unique per cell, so duplicates end up adjacent.
+        v.sort_unstable_by(|a, b| dict.entry(*a).coord.cmp(&dict.entry(*b).coord));
         v.dedup();
     }
     preds
@@ -111,7 +118,7 @@ pub fn label_partition(
     partition: &Partition,
     support: &LabelSupport,
     core_points: &FxHashMap<u32, Vec<PointId>>,
-    dict: &rpdbscan_grid::CellDictionary,
+    dict: &CellDictionary,
     data: &Dataset,
     eps: f64,
 ) -> Result<Vec<(PointId, Option<u32>)>, TaskError> {
@@ -134,20 +141,14 @@ pub fn label_partition(
             }
             CellType::NonCore => {
                 // Border points: exact check against predecessor core
-                // points (Lines 18–23); first qualifying predecessor wins,
-                // as in sequential DBSCAN's first-come assignment. The
-                // predecessors are visited in cell-coordinate order, which
-                // depends only on the data — not on partition count, seed,
-                // or dictionary build order — so ambiguous border points
-                // resolve identically across runs and across the batch and
-                // streaming pipelines.
-                let empty = Vec::new();
-                let mut pred_cells = support.preds.get(&idx).unwrap_or(&empty).clone();
-                pred_cells.sort_unstable_by(|a, b| dict.entry(*a).coord.cmp(&dict.entry(*b).coord));
+                // points (Lines 18–23); first qualifying predecessor in
+                // cell-coordinate order wins, as in sequential DBSCAN's
+                // first-come assignment.
+                let pred_cells = support.preds.get(&idx).map_or(&[][..], Vec::as_slice);
                 for &q in &cell.points {
                     let qc = data.point(q);
                     let mut label = None;
-                    'search: for &pc in &pred_cells {
+                    'search: for &pc in pred_cells {
                         if let Some(cores) = core_points.get(&pc) {
                             for &p in cores {
                                 if dist2(data.point(p), qc) <= eps2 {
@@ -189,7 +190,7 @@ mod tests {
     use crate::partition::{group_by_cell, pseudo_random_partition};
     use crate::phase2::{build_local_clustering, QueryRouting};
     use rpdbscan_engine::{CostModel, Engine};
-    use rpdbscan_grid::{CellDictionary, DictionaryIndex, GridSpec};
+    use rpdbscan_grid::{CellEntry, DictionaryIndex, GridSpec};
 
     /// End-to-end mini pipeline (partition → phase2 → merge → label) used
     /// by the labeling tests.
@@ -223,7 +224,7 @@ mod tests {
         let engine = Engine::with_cost_model(2, CostModel::free());
         let g = tournament(&engine, graphs, None).unwrap().global;
         assert!(g.is_global());
-        let support = LabelSupport::build(g);
+        let support = LabelSupport::build(g, index.dict());
         let labeled: Vec<_> = parts
             .iter()
             .map(|p| label_partition(p, &support, &core_points, index.dict(), &data, eps).unwrap())
@@ -310,7 +311,14 @@ mod tests {
     }
 
     #[test]
-    fn predecessor_map_collects_partial_edges_only() {
+    fn predecessor_map_collects_partial_edges_in_coordinate_order() {
+        // Dictionary index order is not coordinate order: cell 0 sits to
+        // the right of cell 1.
+        let spec = GridSpec::new(2, 1.0, 1.0).unwrap();
+        let entries = [[1.5, 0.1], [0.1, 0.1], [0.8, 0.1]]
+            .iter()
+            .map(|p| CellEntry::from_points(&spec, spec.cell_of(p), [&p[..]]));
+        let dict = CellDictionary::from_entries(spec.clone(), entries);
         let g = CellSubgraph::new(
             vec![
                 (0, CellType::Core),
@@ -320,8 +328,8 @@ mod tests {
             // One full edge, then two partial ones.
             vec![(0, 1), (0, 2), (1, 2)],
         );
-        let p = predecessor_map(&g);
+        let p = predecessor_map(&g, &dict);
         assert_eq!(p.len(), 1);
-        assert_eq!(p[&2], vec![0, 1]);
+        assert_eq!(p[&2], vec![1, 0]);
     }
 }

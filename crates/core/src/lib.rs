@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod driver;
+pub mod export;
 pub mod graph;
 pub mod label;
 pub mod merge;
@@ -54,6 +55,7 @@ pub mod phase2;
 pub mod repair;
 
 pub use driver::{validate_backend_config, RpDbscan, RpDbscanOutput, RunStats};
+pub use export::{CellExport, CellGraph};
 pub use graph::{CellSubgraph, CellType, EdgeType};
 pub use ooc::OutOfCoreConfig;
 pub use params::{DensityBackendKind, RpDbscanParams};

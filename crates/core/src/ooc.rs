@@ -28,6 +28,7 @@
 //! budgets and partition counts.
 
 use crate::driver::{RpDbscan, RpDbscanOutput, RunStats};
+use crate::export::CellGraph;
 use crate::graph::CellType;
 use crate::label::{assemble_clustering, LabelSupport};
 use crate::merge::{tournament, Run};
@@ -188,7 +189,7 @@ impl RpDbscan {
         let merged = tournament(engine, runs, Some(&spill))?;
 
         // ---- Phase III-2: point labeling -------------------------------
-        let supports = LabelSupport::build(merged.global);
+        let supports = LabelSupport::build(merged.global, index.dict());
         let eps2 = p.eps * p.eps;
         let labeled = engine.run_stage("phase3-2:labeling", part_refs, |_ctx, part| {
             label_ooc_partition(part, &pool, &index, &supports, &core_points, eps2)
@@ -227,7 +228,16 @@ impl RpDbscan {
             spill_bytes_read: spill_stats.bytes_read,
             merge_peak_frontier_bytes: merged.peak_frontier_bytes,
         };
-        Ok(RpDbscanOutput { clustering, stats })
+        let cells = CellGraph {
+            dict: index.into_dict(),
+            support: supports,
+            core_points,
+        };
+        Ok(RpDbscanOutput {
+            clustering,
+            stats,
+            cells,
+        })
     }
 }
 
@@ -275,12 +285,10 @@ fn label_ooc_partition(
             CellType::NonCore => {
                 pool.gather_coords(meta.row_start, meta.row_count, &mut coords)
                     .map_err(task_err)?;
-                let empty = Vec::new();
-                let mut pred_cells = supports.preds.get(&idx).unwrap_or(&empty).clone();
-                pred_cells.sort_unstable_by(|a, b| dict.entry(*a).coord.cmp(&dict.entry(*b).coord));
+                let pred_cells = supports.preds.get(&idx).map_or(&[][..], Vec::as_slice);
                 // Gather every predecessor's core coordinates up front so
                 // the per-point loop below is pure arithmetic.
-                for &pc in &pred_cells {
+                for &pc in pred_cells {
                     if core_coord_cache.contains_key(&pc) {
                         continue;
                     }
@@ -310,7 +318,7 @@ fn label_ooc_partition(
                 for (j, &i) in ids.iter().enumerate() {
                     let qc = &coords[j * dim..(j + 1) * dim];
                     let mut label = None;
-                    'search: for &pc in &pred_cells {
+                    'search: for &pc in pred_cells {
                         if let Some(pcoords) = core_coord_cache.get(&pc) {
                             for pcc in pcoords.chunks_exact(dim) {
                                 if rpdbscan_geom::dist2(pcc, qc) <= eps2 {

@@ -101,6 +101,11 @@ fn ooc_matches_resident_across_the_grid() {
                     let ctx = format!("dim={dim} rho={rho} k={k} budget={tag}");
                     assert_eq!(ooc.clustering, resident.clustering, "labels diverge: {ctx}");
                     assert_eq!(
+                        ooc.cells.export(&data),
+                        resident.cells.export(&data),
+                        "cell exports diverge: {ctx}"
+                    );
+                    assert_eq!(
                         normalized(&ooc.stats),
                         normalized(&resident.stats),
                         "shared counters diverge: {ctx}"

@@ -125,6 +125,11 @@ impl DictionaryIndex {
         &self.dict
     }
 
+    /// Drops the sub-dictionary fragments and hands back the dictionary.
+    pub fn into_dict(self) -> CellDictionary {
+        self.dict
+    }
+
     /// The grid spec.
     #[inline]
     pub fn spec(&self) -> &GridSpec {

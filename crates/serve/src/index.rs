@@ -19,15 +19,9 @@
 
 use crate::patch::PatchSummary;
 use crate::ServeError;
-use rpdbscan_core::label::LabelSupport;
-use rpdbscan_core::partition::group_by_cell;
-use rpdbscan_core::phase2::{build_local_clustering, QueryRouting};
-use rpdbscan_core::{Partition, RpDbscanOutput, RpDbscanParams};
-use rpdbscan_engine::TaskError;
+use rpdbscan_core::{CellExport, RpDbscanOutput};
 use rpdbscan_geom::{dist2, kernel, Dataset};
-use rpdbscan_grid::{
-    CellCoord, CellDictionary, DictionaryIndex, FxHashMap, GridSpec, SubCellEntry,
-};
+use rpdbscan_grid::{CellCoord, CellDictionary, FxHashMap, GridSpec};
 use rpdbscan_stream::StreamingRpDbscan;
 use std::sync::Arc;
 
@@ -198,36 +192,31 @@ pub(crate) struct LabelShard {
     pub(crate) built: u64,
 }
 
-/// Construction-time per-cell input, shared by the batch, stream, and
-/// patch builders.
-pub(crate) struct CellSeed {
-    pub(crate) coord: CellCoord,
-    pub(crate) cluster: Option<u32>,
-    pub(crate) preds: Vec<CellCoord>,
-    pub(crate) core: Vec<f64>,
-    pub(crate) subs: Vec<SubCellEntry>,
-}
-
-impl CellSeed {
-    /// Freezes the seed into a record: sub-cell centres are materialised
-    /// into the SoA layout the classify kernel consumes. `scratch` must
-    /// hold `dim` slots.
-    pub(crate) fn into_record(self, spec: &GridSpec, scratch: &mut [f64]) -> CellRecord {
-        let dim = spec.dim();
-        let mut sub_centers = Vec::with_capacity(self.subs.len() * dim);
-        let mut sub_counts = Vec::with_capacity(self.subs.len());
+impl CellRecord {
+    /// Freezes one exported cell into a record, materialising the cell's
+    /// sub-cells from `dict` into the SoA layout the classify kernel
+    /// consumes. The one record constructor: full builds from a batch
+    /// run or a stream, and incremental patches, all come through here.
+    /// `scratch` must hold `dim` slots.
+    pub(crate) fn new(export: CellExport, dict: &CellDictionary, scratch: &mut [f64]) -> Self {
+        let spec = dict.spec();
+        let subs = dict
+            .get(&export.coord)
+            .map_or(&[][..], |c| c.subs.as_slice());
+        let mut sub_centers = Vec::with_capacity(subs.len() * spec.dim());
+        let mut sub_counts = Vec::with_capacity(subs.len());
         let mut count = 0u64;
-        for sub in &self.subs {
-            spec.sub_center_into(&self.coord, sub.idx, scratch);
+        for sub in subs {
+            spec.sub_center_into(&export.coord, sub.idx, scratch);
             sub_centers.extend_from_slice(scratch);
             sub_counts.push(u64::from(sub.count));
             count += u64::from(sub.count);
         }
         CellRecord {
-            coord: self.coord,
-            cluster: self.cluster,
-            preds: self.preds,
-            core: self.core,
+            coord: export.coord,
+            cluster: export.cluster,
+            preds: export.preds,
+            core: export.core_coords,
             sub_centers,
             sub_counts,
             count,
@@ -292,131 +281,45 @@ pub(crate) fn shard_of_point(id: u32, num_shards: usize) -> usize {
 }
 
 impl ServingIndex {
-    /// Builds an index from a finished batch run.
+    /// Builds an index from a finished batch run and the dataset it
+    /// clustered: the run's own Phase III cell graph, exported through
+    /// [`CellGraph::export`](rpdbscan_core::CellGraph::export), becomes
+    /// the shards, so served cluster ids are the stored labels' ids.
     ///
-    /// The cell-level structure (core cells, predecessor sets, core
-    /// points) is rebuilt from the dataset with a single-partition
-    /// Phase II pass under the same parameters, which reproduces the
-    /// run's global cell graph exactly: the graph is
-    /// partition-independent, and `LabelSupport` assigns dense ids
-    /// by first appearance over coordinate-sorted core cells, so the
-    /// rebuilt ids equal the stored labels' ids.
+    /// The export reads core-point coordinates from `data` by id, so a
+    /// dataset of the wrong length ([`ServeError::LabelMismatch`]) or
+    /// dimension ([`ServeError::DimensionMismatch`]) is rejected.
     pub fn from_batch(
         data: &Dataset,
         output: &RpDbscanOutput,
-        params: &RpDbscanParams,
         num_shards: usize,
         generation: u64,
     ) -> Result<Self, ServeError> {
-        if !params.density_backend.is_exact() {
-            return Err(ServeError::UnsupportedBackend(
-                params.density_backend.name(),
-            ));
-        }
-        let stored_labels = output.clustering.labels();
-        if stored_labels.len() != data.len() {
+        let stored = output.clustering.labels();
+        if stored.len() != data.len() {
             return Err(ServeError::LabelMismatch {
                 points: data.len(),
-                labels: stored_labels.len(),
+                labels: stored.len(),
             });
         }
-        let spec = GridSpec::new(data.dim(), params.eps, params.rho)?;
-        let cells = group_by_cell(&spec, data);
-        let partition = Partition { id: 0, cells };
-        let dict = CellDictionary::build_from_points(spec.clone(), data.iter().map(|(_, p)| p));
-        let index = DictionaryIndex::new(dict, params.subdict_capacity);
-        let local = build_local_clustering(
-            &partition,
-            data,
-            &index,
-            params.min_pts,
-            QueryRouting::auto(&index),
-        )?;
-        let LabelSupport {
-            clusters, preds, ..
-        } = LabelSupport::build(local.subgraph);
-        let dict = index.dict();
-
-        // `LabelSupport` numbers clusters by first appearance over
-        // dictionary indices, and index order differs between this 1-way
-        // rebuild (coordinate-sorted) and the original k-way run
-        // (partition order) — the partitions of ids differ only by a
-        // permutation. Pin each rebuilt id to the stored one through any
-        // core point: Phase III gives every core point its cell's
-        // cluster id, so one lookup per cluster fixes the bijection.
-        let disagree = || {
-            ServeError::Task(TaskError::new(
-                "stored stored_labels disagree with rebuilt clustering",
-            ))
-        };
-        let mut remap: Vec<Option<u32>> = vec![None; clusters.num_clusters];
-        let mut taken = vec![false; clusters.num_clusters];
-        for i in 0..dict.num_cells() as u32 {
-            let Some(&cid) = clusters.cluster_of_cell.get(&i) else {
-                continue;
-            };
-            let Some(&p) = local.core_points.get(&i).and_then(|v| v.first()) else {
-                continue;
-            };
-            let stored = stored_labels[p.index()].ok_or_else(disagree)?;
-            match remap[cid as usize] {
-                None => {
-                    if taken.get(stored as usize).copied() != Some(false) {
-                        return Err(disagree());
-                    }
-                    taken[stored as usize] = true;
-                    remap[cid as usize] = Some(stored);
-                }
-                Some(prev) if prev != stored => return Err(disagree()),
-                Some(_) => {}
-            }
-        }
-        let remap: Vec<u32> = remap
-            .into_iter()
-            .map(|m| m.ok_or_else(disagree))
-            .collect::<Result<_, _>>()?;
-
-        let dim = data.dim();
-        let mut seeds = Vec::with_capacity(dict.num_cells());
-        for (i, entry) in dict.cells().iter().enumerate() {
-            let i = i as u32;
-            let cluster = clusters.cluster_of_cell.get(&i).map(|&c| remap[c as usize]);
-            let pred_coords = if cluster.is_some() {
-                Vec::new()
-            } else {
-                let mut pc: Vec<CellCoord> = preds
-                    .get(&i)
-                    .map(|v| v.iter().map(|&p| dict.entry(p).coord.clone()).collect())
-                    .unwrap_or_default();
-                pc.sort_unstable();
-                pc
-            };
-            let mut core = Vec::new();
-            if let Some(pts) = local.core_points.get(&i) {
-                core.reserve(pts.len() * dim);
-                for &p in pts {
-                    core.extend_from_slice(data.point(p));
-                }
-            }
-            seeds.push(CellSeed {
-                coord: entry.coord.clone(),
-                cluster,
-                preds: pred_coords,
-                core,
-                subs: entry.subs.clone(),
+        let dict = output.cells.dict();
+        if data.dim() != dict.spec().dim() {
+            return Err(ServeError::DimensionMismatch {
+                expected: dict.spec().dim(),
+                got: data.dim(),
             });
         }
-        let rows: Vec<(u32, Option<u32>)> = stored_labels
+        let rows = stored
             .iter()
             .enumerate()
             .map(|(i, &l)| (i as u32, l))
             .collect();
         Ok(Self::build(
-            spec,
-            params.density_backend.name(),
+            dict,
+            output.stats.backend,
             generation,
             num_shards,
-            seeds,
+            output.cells.export(data),
             rows,
         ))
     }
@@ -427,24 +330,6 @@ impl ServingIndex {
     /// can skip republishing unchanged epochs.
     pub fn from_stream(stream: &StreamingRpDbscan, num_shards: usize) -> Self {
         let snap = stream.snapshot();
-        let dict = stream.dictionary();
-        let seeds: Vec<CellSeed> = stream
-            .export_cells()
-            .into_iter()
-            .map(|e| {
-                let subs = dict
-                    .get(&e.coord)
-                    .map(|c| c.subs.clone())
-                    .unwrap_or_default();
-                CellSeed {
-                    coord: e.coord,
-                    cluster: e.cluster,
-                    preds: e.preds,
-                    core: e.core_coords,
-                    subs,
-                }
-            })
-            .collect();
         let rows: Vec<(u32, Option<u32>)> = snap
             .ids
             .iter()
@@ -452,34 +337,35 @@ impl ServingIndex {
             .map(|(id, &l)| (id.0, l))
             .collect();
         Self::build(
-            stream.spec().clone(),
+            stream.dictionary(),
             "exact",
             snap.epoch(),
             num_shards,
-            seeds,
+            stream.export_cells(),
             rows,
         )
     }
 
-    /// Assembles the sharded structure from per-cell seeds (coordinate
-    /// order) and point rows.
+    /// Assembles the sharded structure from per-cell exports (coordinate
+    /// order) over `dict` and point rows.
     fn build(
-        spec: GridSpec,
+        dict: &CellDictionary,
         backend: &'static str,
         generation: u64,
         num_shards: usize,
-        seeds: Vec<CellSeed>,
+        exports: Vec<CellExport>,
         rows: Vec<(u32, Option<u32>)>,
     ) -> Self {
+        let spec = dict.spec().clone();
         let k = num_shards.max(1);
         let dim = spec.dim();
         let eps2 = spec.eps() * spec.eps();
 
         // Per-cluster summaries, folded over the plain vectors so the
         // totals never depend on hash-map iteration order.
-        let num_clusters = seeds
+        let num_clusters = exports
             .iter()
-            .filter_map(|s| s.cluster)
+            .filter_map(|e| e.cluster)
             .chain(rows.iter().filter_map(|&(_, l)| l))
             .map(|c| c as usize + 1)
             .max()
@@ -492,10 +378,10 @@ impl ServingIndex {
                 core_cells: 0,
             })
             .collect();
-        for s in &seeds {
-            if let Some(c) = s.cluster {
+        for e in &exports {
+            if let Some(c) = e.cluster {
                 clusters[c as usize].core_cells += 1;
-                clusters[c as usize].core_points += s.core.len() / dim;
+                clusters[c as usize].core_points += e.core_coords.len() / dim;
             }
         }
         for &(_, label) in &rows {
@@ -506,12 +392,12 @@ impl ServingIndex {
 
         let mut shards: Vec<Shard> = (0..k).map(|_| Shard::default()).collect();
         let mut scratch = vec![0.0; dim];
-        for seed in seeds {
-            let shard = &mut shards[shard_of_cell(&seed.coord, k)];
+        for export in exports {
+            let shard = &mut shards[shard_of_cell(&export.coord, k)];
             shard
                 .cells
-                .insert(Arc::new(seed.coord.clone()), shard.records.len() as u32);
-            let rec = seed.into_record(&spec, &mut scratch);
+                .insert(Arc::new(export.coord.clone()), shard.records.len() as u32);
+            let rec = CellRecord::new(export, dict, &mut scratch);
             shard.records.push(Some(Arc::new(rec)));
         }
         for s in &mut shards {

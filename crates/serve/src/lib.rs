@@ -31,7 +31,7 @@
 //! let data = Dataset::from_rows(2, &rows).unwrap();
 //! let params = RpDbscanParams::new(0.2, 3);
 //! let out = RpDbscan::new(params).unwrap().run_local(&data).unwrap();
-//! let index = Arc::new(ServingIndex::from_batch(&data, &out, &params, 4, 1).unwrap());
+//! let index = Arc::new(ServingIndex::from_batch(&data, &out, 4, 1).unwrap());
 //! // Stored label and fresh classification agree on an indexed point.
 //! assert_eq!(
 //!     index.classify(&[1.0, 0.0]).unwrap().label,
@@ -45,8 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rpdbscan_engine::{StageError, TaskError};
-use rpdbscan_grid::GridError;
+use rpdbscan_engine::StageError;
 
 mod cache;
 mod index;
@@ -69,19 +68,16 @@ pub enum ServeError {
         /// The queue's configured capacity.
         capacity: usize,
     },
-    /// A query coordinate has the wrong number of dimensions.
+    /// A query coordinate, or the dataset handed to
+    /// [`ServingIndex::from_batch`], has the wrong number of dimensions.
     DimensionMismatch {
         /// Dimensionality of the served clustering.
         expected: usize,
-        /// Dimensionality of the query.
+        /// Dimensionality of the query or dataset.
         got: usize,
     },
     /// A query coordinate is NaN or infinite.
     NonFinite,
-    /// Grid construction failed while building an index.
-    Grid(GridError),
-    /// A clustering rebuild task failed while building an index.
-    Task(TaskError),
     /// A serving stage failed on the engine.
     Stage(StageError),
     /// The clustering's label vector does not cover the dataset.
@@ -91,12 +87,6 @@ pub enum ServeError {
         /// Labels in the clustering.
         labels: usize,
     },
-    /// Classification replays Phase III against the exact cell graph, so
-    /// an index can only be built from an exact-backend clustering; an
-    /// approximate density backend selection (`knn` / `sampled`) is
-    /// rejected at index build. The payload is the rejected backend's
-    /// tag.
-    UnsupportedBackend(&'static str),
     /// An incremental publish's base index serves a different grid than
     /// the stream it would patch from; shard layouts are only comparable
     /// when the grid specs match bitwise.
@@ -118,20 +108,16 @@ impl std::fmt::Display for ServeError {
                 write!(f, "request queue full (capacity {capacity})")
             }
             Self::DimensionMismatch { expected, got } => {
-                write!(f, "query has {got} coordinates, index expects {expected}")
+                write!(
+                    f,
+                    "got {got} coordinates per point, index expects {expected}"
+                )
             }
             Self::NonFinite => write!(f, "query coordinate is NaN or infinite"),
-            Self::Grid(e) => write!(f, "grid error: {e}"),
-            Self::Task(e) => write!(f, "index build task failed: {e}"),
             Self::Stage(e) => write!(f, "serving stage failed: {e}"),
             Self::LabelMismatch { points, labels } => {
                 write!(f, "clustering has {labels} labels for {points} points")
             }
-            Self::UnsupportedBackend(b) => write!(
-                f,
-                "serving indexes replay the exact cell graph; a `{b}`-backend \
-                 clustering cannot be served"
-            ),
             Self::PatchGridMismatch => write!(
                 f,
                 "incremental publish requires the base index and the stream \
@@ -149,22 +135,9 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Self::Grid(e) => Some(e),
             Self::Stage(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<GridError> for ServeError {
-    fn from(e: GridError) -> Self {
-        Self::Grid(e)
-    }
-}
-
-impl From<TaskError> for ServeError {
-    fn from(e: TaskError) -> Self {
-        Self::Task(e)
     }
 }
 

@@ -20,7 +20,7 @@
 //! it did against the base — the [`PatchSummary`] exports that window
 //! (`invalidates`) and the server carries everything outside it.
 
-use crate::index::{shard_of_cell, shard_of_point, CellSeed, LabelShard};
+use crate::index::{shard_of_cell, shard_of_point, CellRecord, LabelShard};
 use crate::index::{ServingIndex, Shard};
 use crate::ServeError;
 use rpdbscan_grid::{CellCoord, FxHashMap, FxHashSet, GridSpec};
@@ -124,7 +124,7 @@ fn patch_shard(
     deltas: &mut Vec<(u32, i64, i64)>,
 ) -> (Shard, usize, usize) {
     let dim = spec.dim();
-    let contribution = |rec: &crate::index::CellRecord, sign: i64| {
+    let contribution = |rec: &CellRecord, sign: i64| {
         rec.cluster
             .map(|c| (c, sign, sign * (rec.core.len() / dim) as i64))
     };
@@ -138,15 +138,7 @@ fn patch_shard(
         match stream.export_cell(coord) {
             Some(export) => {
                 rebuilt += 1;
-                let subs = dict.get(coord).map(|c| c.subs.clone()).unwrap_or_default();
-                let seed = CellSeed {
-                    coord: export.coord,
-                    cluster: export.cluster,
-                    preds: export.preds,
-                    core: export.core_coords,
-                    subs,
-                };
-                let rec = Arc::new(seed.into_record(spec, scratch));
+                let rec = Arc::new(CellRecord::new(export, dict, scratch));
                 deltas.extend(contribution(&rec, 1));
                 match cells.get(coord) {
                     Some(&row) => {

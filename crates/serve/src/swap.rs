@@ -79,7 +79,7 @@ mod tests {
         let data = Dataset::from_rows(1, &rows).unwrap();
         let params = RpDbscanParams::new(1.0, 3);
         let out = RpDbscan::new(params).unwrap().run_local(&data).unwrap();
-        Arc::new(ServingIndex::from_batch(&data, &out, &params, 2, generation).unwrap())
+        Arc::new(ServingIndex::from_batch(&data, &out, 2, generation).unwrap())
     }
 
     #[test]

@@ -18,7 +18,7 @@ fn built_index() -> (Dataset, Arc<ServingIndex>, RpDbscanParams) {
     let data = Dataset::from_rows(2, &rows).unwrap();
     let params = RpDbscanParams::new(0.5, 4);
     let out = RpDbscan::new(params).unwrap().run_local(&data).unwrap();
-    let index = Arc::new(ServingIndex::from_batch(&data, &out, &params, 4, 1).unwrap());
+    let index = Arc::new(ServingIndex::from_batch(&data, &out, 4, 1).unwrap());
     (data, index, params)
 }
 

@@ -9,7 +9,7 @@ use std::f64::consts::TAU;
 
 use rpdbscan_core::{RpDbscan, RpDbscanParams};
 use rpdbscan_geom::{Dataset, PointId};
-use rpdbscan_serve::ServingIndex;
+use rpdbscan_serve::{ServeError, ServingIndex};
 use rpdbscan_stream::StreamingRpDbscan;
 
 /// Deterministic golden-angle blob around `center`.
@@ -57,7 +57,7 @@ fn classify_matches_batch_labels_exactly() {
             let out = RpDbscan::new(params).unwrap().run_local(&data).unwrap();
             assert!(out.clustering.num_clusters() >= 1, "dim={dim} rho={rho}");
             for shards in [1usize, 4] {
-                let index = ServingIndex::from_batch(&data, &out, &params, shards, 7).unwrap();
+                let index = ServingIndex::from_batch(&data, &out, shards, 7).unwrap();
                 assert_eq!(index.num_shards(), shards);
                 assert_eq!(index.num_points(), data.len());
                 for i in 0..data.len() {
@@ -117,7 +117,7 @@ fn planned_classify_matches_scalar_oracle_bit_for_bit() {
             let data = Dataset::from_rows(dim, &rows).unwrap();
             let params = RpDbscanParams::new(1.0, 5).with_rho(rho);
             let out = RpDbscan::new(params).unwrap().run_local(&data).unwrap();
-            let index = ServingIndex::from_batch(&data, &out, &params, 4, 1).unwrap();
+            let index = ServingIndex::from_batch(&data, &out, 4, 1).unwrap();
             let mut probes: Vec<Vec<f64>> = rows.clone();
             probes.extend(rows.iter().map(|r| {
                 let mut p = r.clone();
@@ -143,7 +143,7 @@ fn unoccupied_cells_resolve_against_nearby_core_cells() {
     let data = Dataset::from_rows(1, &rows).unwrap();
     let params = RpDbscanParams::new(1.0, 5);
     let out = RpDbscan::new(params).unwrap().run_local(&data).unwrap();
-    let index = ServingIndex::from_batch(&data, &out, &params, 4, 1).unwrap();
+    let index = ServingIndex::from_batch(&data, &out, 4, 1).unwrap();
     let near = index.classify(&[1.3]).unwrap();
     assert_eq!(near.label, out.clustering.labels()[0], "joins blob 1");
     // Far away: no label, zero density.
@@ -158,7 +158,7 @@ fn query_validation_rejects_bad_coordinates() {
     let data = Dataset::from_rows(2, &rows).unwrap();
     let params = RpDbscanParams::new(1.0, 5);
     let out = RpDbscan::new(params).unwrap().run_local(&data).unwrap();
-    let index = ServingIndex::from_batch(&data, &out, &params, 2, 1).unwrap();
+    let index = ServingIndex::from_batch(&data, &out, 2, 1).unwrap();
     assert!(matches!(
         index.classify(&[1.0]),
         Err(rpdbscan_serve::ServeError::DimensionMismatch {
@@ -178,7 +178,7 @@ fn cluster_stats_are_consistent_with_labels() {
     let data = Dataset::from_rows(2, &rows).unwrap();
     let params = RpDbscanParams::new(1.0, 5);
     let out = RpDbscan::new(params).unwrap().run_local(&data).unwrap();
-    let index = ServingIndex::from_batch(&data, &out, &params, 4, 1).unwrap();
+    let index = ServingIndex::from_batch(&data, &out, 4, 1).unwrap();
     assert_eq!(index.num_clusters(), out.clustering.num_clusters());
     let mut labeled = 0usize;
     for c in 0..index.num_clusters() as u32 {
@@ -351,36 +351,65 @@ fn torn_generation_detector_holds_on_any_built_index() {
     let params = RpDbscanParams::new(1.0, 5);
     let out = RpDbscan::new(params).unwrap().run_local(&data).unwrap();
     for g in [0u64, 1, 42, u64::MAX] {
-        let index = ServingIndex::from_batch(&data, &out, &params, 3, g).unwrap();
+        let index = ServingIndex::from_batch(&data, &out, 3, g).unwrap();
         assert_eq!(index.verify_generation(), Some(g));
         assert_eq!(index.generation(), g);
     }
 }
 
 #[test]
-fn index_records_its_backend_and_rejects_approximate_ones() {
-    use rpdbscan_core::DensityBackendKind;
+fn index_records_its_backend() {
     let data = Dataset::from_rows(2, &test_rows(2)).unwrap();
     let params = RpDbscanParams::new(1.0, 5);
     let out = RpDbscan::new(params).unwrap().run_local(&data).unwrap();
-    let index = ServingIndex::from_batch(&data, &out, &params, 4, 1).unwrap();
-    assert_eq!(index.backend(), "exact");
+    // The batch driver refuses approximate backends, so the tag a batch
+    // index carries is the run's own.
+    let index = ServingIndex::from_batch(&data, &out, 4, 1).unwrap();
+    assert_eq!(index.backend(), out.stats.backend);
 
     // A streaming-built index is exact by construction.
     let stream = StreamingRpDbscan::new(2, params).unwrap();
     assert_eq!(ServingIndex::from_stream(&stream, 2).backend(), "exact");
+}
 
-    // Approximate-backend parameters cannot build a serving index: the
-    // classify path replays the exact cell graph.
-    for kind in [
-        DensityBackendKind::MutualKnn { k: 10 },
-        DensityBackendKind::SampledCore { sample_frac: 0.3 },
-    ] {
-        let p = params.with_density_backend(kind);
-        let err = ServingIndex::from_batch(&data, &out, &p, 4, 1).unwrap_err();
-        assert!(
-            matches!(err, rpdbscan_serve::ServeError::UnsupportedBackend(b) if b == kind.name()),
-            "{err}"
-        );
-    }
+#[test]
+fn batch_source_rejects_a_dataset_of_the_wrong_length() {
+    let rows = test_rows(2);
+    let data = Dataset::from_rows(2, &rows).unwrap();
+    let out = RpDbscan::new(RpDbscanParams::new(1.0, 5))
+        .unwrap()
+        .run_local(&data)
+        .unwrap();
+    let short = Dataset::from_rows(2, &rows[1..]).unwrap();
+    let err = ServingIndex::from_batch(&short, &out, 4, 1).unwrap_err();
+    assert!(
+        matches!(err, ServeError::LabelMismatch { points, labels }
+            if points == rows.len() - 1 && labels == rows.len()),
+        "{err}"
+    );
+}
+
+#[test]
+fn batch_source_rejects_a_dataset_of_the_wrong_dimension() {
+    let rows = test_rows(2);
+    let data = Dataset::from_rows(2, &rows).unwrap();
+    let out = RpDbscan::new(RpDbscanParams::new(1.0, 5))
+        .unwrap()
+        .run_local(&data)
+        .unwrap();
+    // Same number of points, one more coordinate each: core point ids
+    // would index valid rows of the wrong shape.
+    let wide: Vec<Vec<f64>> = rows.iter().map(|r| vec![r[0], r[1], 0.0]).collect();
+    let wide = Dataset::from_rows(3, &wide).unwrap();
+    let err = ServingIndex::from_batch(&wide, &out, 4, 1).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ServeError::DimensionMismatch {
+                expected: 2,
+                got: 3
+            }
+        ),
+        "{err}"
+    );
 }

@@ -16,7 +16,7 @@ fn built_index(generation: u64) -> (Dataset, Arc<ServingIndex>) {
     let data = Dataset::from_rows(2, &rows).unwrap();
     let params = RpDbscanParams::new(0.5, 4);
     let out = RpDbscan::new(params).unwrap().run_local(&data).unwrap();
-    let index = Arc::new(ServingIndex::from_batch(&data, &out, &params, 4, generation).unwrap());
+    let index = Arc::new(ServingIndex::from_batch(&data, &out, 4, generation).unwrap());
     (data, index)
 }
 

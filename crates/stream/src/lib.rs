@@ -34,7 +34,7 @@ use rpdbscan_core::repair::{
     assign_border_point, cell_contribution, contribution_delta, recompute_cell_planned, sub_diff,
     CellRepair, SubDiff,
 };
-use rpdbscan_core::RpDbscanParams;
+use rpdbscan_core::{CellExport, RpDbscanParams};
 use rpdbscan_engine::{epoch_stage_name, CostModel, Engine, EngineReport, StageError};
 use rpdbscan_geom::{dist2, Dataset};
 use rpdbscan_grid::{
@@ -266,25 +266,6 @@ impl Snapshot {
     pub fn dirty_cells(&self) -> &[CellCoord] {
         &self.dirty
     }
-}
-
-/// Read-only per-cell state exported for downstream index builders (the
-/// serving layer's [`Snapshot`]→index handoff): everything an external
-/// reader needs to reproduce Phase III's label resolution for this
-/// epoch, keyed by stable cell coordinates.
-#[derive(Debug, Clone)]
-pub struct CellExport {
-    /// The cell's coordinate.
-    pub coord: CellCoord,
-    /// Cluster id when the cell is core, `None` for non-core cells.
-    pub cluster: Option<u32>,
-    /// For non-core cells: the predecessor core cells of the cell graph's
-    /// partial edges, sorted by coordinate (the deterministic border
-    /// tie-break order). Empty for core cells.
-    pub preds: Vec<CellCoord>,
-    /// Flat coordinates of the cell's core points (`dim` values per
-    /// point) — the operands of the exact ε border checks.
-    pub core_coords: Vec<f64>,
 }
 
 /// Per-cell incremental state: the streaming equivalent of one vertex of

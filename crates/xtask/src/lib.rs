@@ -19,6 +19,7 @@
 pub mod atomics;
 pub mod baseline;
 pub mod lexer;
+pub mod loc;
 pub mod locks;
 pub mod manifest;
 pub mod report;

@@ -3,6 +3,7 @@
 //! ```text
 //! cargo run -p xtask -- lint [--json PATH] [--baseline PATH] [--root PATH]
 //! cargo run -p xtask -- rules
+//! cargo run -p xtask -- loc [--root PATH]
 //! ```
 //!
 //! `lint` exits 0 when no unsuppressed finding survives, 1 when
@@ -25,6 +26,8 @@ commands:
         on findings not present in the given report
   rules
         list the rules and what they enforce
+  loc [--root PATH]
+        print non-blank, non-test source lines per crate
 ";
 
 fn main() -> ExitCode {
@@ -35,6 +38,7 @@ fn main() -> ExitCode {
             print!("{}", xtask::report::rules_listing());
             ExitCode::SUCCESS
         }
+        Some("loc") => loc(&args[1..]),
         _ => {
             eprint!("{USAGE}");
             ExitCode::from(2)
@@ -130,8 +134,26 @@ fn lint(args: &[String]) -> ExitCode {
     }
 }
 
+fn loc(args: &[String]) -> ExitCode {
+    let root = match args {
+        [] => workspace_root(),
+        [flag, path] if flag == "--root" => PathBuf::from(path),
+        _ => return usage_err("loc takes only `--root PATH`"),
+    };
+    match xtask::loc::count_workspace(&root) {
+        Ok(counts) => {
+            print!("{}", xtask::loc::table(&counts));
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("xtask loc: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
 fn usage_err(msg: &str) -> ExitCode {
-    eprintln!("xtask lint: {msg}\n");
+    eprintln!("xtask: {msg}\n");
     eprint!("{USAGE}");
     ExitCode::from(2)
 }

@@ -645,8 +645,7 @@ fn serve(args: &[String]) -> Result<(), String> {
             out.clustering.num_clusters(),
             out.clustering.noise_count()
         );
-        let index =
-            ServingIndex::from_batch(&data, &out, &params, shards, 1).map_err(|e| e.to_string())?;
+        let index = ServingIndex::from_batch(&data, &out, shards, 1).map_err(|e| e.to_string())?;
         let server = Server::new(
             Engine::with_cost_model(workers, CostModel::free()),
             std::sync::Arc::new(index),
