@@ -9,8 +9,9 @@
 //! the cell-based approximation of Gan & Tao that RP-DBSCAN generalises.
 
 use rpdbscan_core::label::{assemble_clustering, label_partition, LabelSupport};
-use rpdbscan_core::partition::{group_by_cell, Partition};
+use rpdbscan_core::partition::group_by_cell;
 use rpdbscan_core::phase2::{build_local_clustering, QueryRouting};
+use rpdbscan_core::CellSource;
 use rpdbscan_engine::TaskError;
 use rpdbscan_geom::Dataset;
 use rpdbscan_grid::{CellDictionary, DictionaryIndex, GridSpec};
@@ -40,10 +41,14 @@ pub fn rho_approx_dbscan(
     let spec = GridSpec::new(data.dim(), eps, rho)
         .map_err(|e| TaskError::new(format!("invalid grid configuration: {e}")))?;
     let cells = group_by_cell(&spec, data);
-    let part = Partition { id: 0, cells };
+    let src = CellSource::Resident {
+        data,
+        cells: &cells,
+    };
+    let all: Vec<u32> = (0..cells.len() as u32).collect();
     let dict = CellDictionary::build_from_points(spec, data.iter().map(|(_, p)| p));
     let index = DictionaryIndex::single(dict);
-    let local = build_local_clustering(&part, data, &index, min_pts, QueryRouting::auto(&index))?;
+    let local = build_local_clustering(&src, &all, &index, min_pts, QueryRouting::auto(&index))?;
 
     let mut core = vec![false; data.len()];
     for pts in local.core_points.values() {
@@ -56,7 +61,7 @@ pub fn rho_approx_dbscan(
         "single partition graph must be global"
     );
     let support = LabelSupport::build(local.subgraph, index.dict());
-    let labeled = label_partition(&part, &support, &local.core_points, index.dict(), data, eps)?;
+    let labeled = label_partition(&src, &all, &support, &local.core_points, index.dict(), eps)?;
     Ok(RhoApproxOutput {
         clustering: assemble_clustering(data.len(), vec![labeled]),
         core,

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rpdbscan_baselines::region::{split_regions, SplitStrategy};
-use rpdbscan_core::partition::{group_by_cell, pseudo_random_partition, true_random_partition};
+use rpdbscan_core::partition::{group_by_cell, pseudo_random_deal, true_random_partition};
 use rpdbscan_data::{synth, SynthConfig};
 use rpdbscan_grid::GridSpec;
 use std::hint::black_box;
@@ -28,7 +28,7 @@ fn bench_partitioning(c: &mut Criterion) {
     group.bench_function("pseudo_random_cells", |b| {
         b.iter(|| {
             let cells = group_by_cell(&spec, &data);
-            black_box(pseudo_random_partition(cells, k, 0).len())
+            black_box(pseudo_random_deal(cells, k, 0).len())
         })
     });
     group.bench_function("true_random_points", |b| {

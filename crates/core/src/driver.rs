@@ -9,15 +9,18 @@ use crate::export::CellGraph;
 use crate::label::{assemble_clustering, label_partition, LabelSupport};
 use crate::merge::{tournament, Run};
 use crate::params::RpDbscanParams;
-use crate::partition::{pseudo_random_partition, CellPoints, Partition};
+use crate::partition::{pseudo_random_deal, CellPoints};
 use crate::phase2::{build_local_clustering, QueryRouting};
-use crate::CoreError;
+use crate::source::{CellSource, Scratch};
+use crate::{task_err, CoreError};
 use rpdbscan_engine::Engine;
 use rpdbscan_geom::{Dataset, PointId};
 use rpdbscan_grid::{
     CellCoord, CellDictionary, CellEntry, DictionaryIndex, FxHashMap, GridSpec, QueryStats,
 };
 use rpdbscan_metrics::Clustering;
+use rpdbscan_store::SpillDir;
+
 /// Measured facts about a completed run (feeds Tables 5/7 and Figures
 /// 12/13/14/17).
 #[derive(Debug, Clone, PartialEq)]
@@ -169,38 +172,66 @@ impl RpDbscan {
     pub fn run(&self, data: &Dataset, engine: &Engine) -> Result<RpDbscanOutput, CoreError> {
         let p = &self.params;
         let spec = GridSpec::new(data.dim(), p.eps, p.rho)?;
-        let k = p.num_partitions;
 
         // ---- Phase I-1: pseudo random partitioning -------------------
-        // Parallel cell grouping over point ranges, then the seeded
-        // random deal of whole cells to partitions.
-        let chunks = point_ranges(data.len(), k);
+        // Parallel cell grouping over point ranges; the pipeline then
+        // deals the grouped cells to partitions.
+        let chunks = point_ranges(data.len(), p.num_partitions);
         let grouped = engine.run_stage("phase1-1:group-by-cell", chunks, |_ctx, (lo, hi)| {
             Ok(group_range_by_cell(&spec, data, lo, hi))
         })?;
         let cells = merge_cell_groups(grouped.outputs);
-        let parts = pseudo_random_partition(cells, k, p.seed);
+        self.pipeline(
+            spec,
+            CellSource::Resident {
+                data,
+                cells: &cells,
+            },
+            None,
+            engine,
+        )
+    }
+
+    /// Algorithm 1 from the seeded deal of `source`'s cells on: Phase I-2,
+    /// Phase II, the Phase III-1 tournament (spilled under `spill` when
+    /// given, in memory otherwise) and Phase III-2. The pool and spill
+    /// counters of the returned stats are left at zero for the
+    /// out-of-core driver to fill.
+    pub(crate) fn pipeline(
+        &self,
+        spec: GridSpec,
+        source: CellSource<'_>,
+        spill: Option<&SpillDir>,
+        engine: &Engine,
+    ) -> Result<RpDbscanOutput, CoreError> {
+        let p = &self.params;
+        let k = p.num_partitions;
+        let dim = spec.dim();
+
+        // ---- Phase I-1 (cont.): the seeded deal of whole cells --------
+        let directory: Vec<u32> = (0..source.num_cells() as u32).collect();
+        let parts: Vec<Vec<u32>> = pseudo_random_deal(directory, k, p.seed);
         // Dealing cells to partitions moves every point to its worker
         // exactly once; charge the same per-point shuffle the region-split
         // baselines pay for their (duplicated) redistribution.
-        let point_bytes = (data.dim() * 4) as u64;
-        engine.shuffle_cost("phase1-1:shuffle", data.len() as u64 * point_bytes);
+        let point_bytes = (dim * 4) as u64;
+        engine.shuffle_cost("phase1-1:shuffle", source.num_points() as u64 * point_bytes);
+        let part_refs: Vec<&[u32]> = parts.iter().map(Vec::as_slice).collect();
 
         // ---- Phase I-2: cell dictionary building + broadcast ----------
-        let part_refs: Vec<&Partition> = parts.iter().collect();
         let entries =
             engine.run_stage("phase1-2:dictionary", part_refs.clone(), |_ctx, part| {
-                Ok(part
-                    .cells
-                    .iter()
-                    .map(|c| {
-                        CellEntry::from_points(
-                            &spec,
-                            c.coord.clone(),
-                            c.points.iter().map(|&id| data.point(id)),
-                        )
-                    })
-                    .collect::<Vec<_>>())
+                let mut s = Scratch::default();
+                let mut out = Vec::with_capacity(part.len());
+                for &ci in part {
+                    source.gather_coords(ci, &mut s)?;
+                    out.push(CellEntry::from_points(
+                        &spec,
+                        source.coord(ci).clone(),
+                        s.coords.chunks_exact(dim),
+                    ));
+                }
+                Ok(out)
             })?;
         let dict =
             CellDictionary::from_entries(spec.clone(), entries.outputs.into_iter().flatten());
@@ -221,30 +252,32 @@ impl RpDbscan {
                     // lint:allow(panic-safety): deliberate fault-injection hook; the engine's panic recovery is what is under test
                     panic!("injected fault in partition {}", ctx.index());
                 }
-                build_local_clustering(part, data, &index, p.min_pts, routing)
+                let local = build_local_clustering(&source, part, &index, p.min_pts, routing)?;
+                let run = Run::keep(local.subgraph, spill).map_err(task_err)?;
+                Ok((run, local.core_points, local.stats, local.queries))
             })?;
         let mut query_stats = QueryStats::default();
         let mut core_points: FxHashMap<u32, Vec<PointId>> = FxHashMap::default();
         let mut runs: Vec<Run> = Vec::with_capacity(k);
         let mut points_processed = 0u64;
-        for local in locals.outputs {
-            query_stats.merge(&local.stats);
-            points_processed += local.queries;
-            for (c, pts) in local.core_points {
+        for (run, cores, stats, queries) in locals.outputs {
+            query_stats.merge(&stats);
+            points_processed += queries;
+            for (c, pts) in cores {
                 core_points.entry(c).or_default().extend(pts);
             }
-            runs.push(Run::Memory(local.subgraph));
+            runs.push(run);
         }
 
         // ---- Phase III-1: progressive graph merging --------------------
-        let merged = tournament(engine, runs, None)?;
+        let merged = tournament(engine, runs, spill)?;
 
         // ---- Phase III-2: point labeling -------------------------------
         let support = LabelSupport::build(merged.global, index.dict());
         let labeled = engine.run_stage("phase3-2:labeling", part_refs, |_ctx, part| {
-            label_partition(part, &support, &core_points, index.dict(), data, p.eps)
+            label_partition(&source, part, &support, &core_points, index.dict(), p.eps)
         })?;
-        let clustering = assemble_clustering(data.len(), labeled.outputs);
+        let clustering = assemble_clustering(source.num_points(), labeled.outputs);
 
         let stats = RunStats {
             backend: p.density_backend.name(),
@@ -266,7 +299,7 @@ impl RpDbscan {
             query_cells_routed_planned: query_stats.cells_routed_planned as u64,
             query_cells_routed_kd: query_stats.cells_routed_kd as u64,
             route_min_occupancy: routing.min_occupancy().unwrap_or(0),
-            out_of_core: false,
+            out_of_core: matches!(source, CellSource::Paged(_)),
             pool_budget_bytes: 0,
             pool_hits: 0,
             pool_misses: 0,
@@ -274,7 +307,11 @@ impl RpDbscan {
             pool_peak_tracked_bytes: 0,
             spill_bytes_written: 0,
             spill_bytes_read: 0,
-            merge_peak_frontier_bytes: 0,
+            merge_peak_frontier_bytes: if spill.is_some() {
+                merged.peak_frontier_bytes
+            } else {
+                0
+            },
         };
         let cells = CellGraph {
             dict: index.into_dict(),

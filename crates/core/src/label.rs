@@ -8,9 +8,9 @@
 //! partially-direct branch), and points matching nothing are outliers.
 
 use crate::graph::{CellSubgraph, CellType, UnionFind};
-use crate::partition::Partition;
+use crate::source::{CellSource, Scratch};
 use rpdbscan_engine::TaskError;
-use rpdbscan_geom::{dist2, Dataset, PointId};
+use rpdbscan_geom::{dist2, PointId};
 use rpdbscan_grid::{CellDictionary, FxHashMap};
 use rpdbscan_metrics::Clustering;
 
@@ -107,51 +107,76 @@ fn predecessor_map(g: &CellSubgraph, dict: &CellDictionary) -> FxHashMap<u32, Ve
 }
 
 /// Labels the points of one partition from the global graph's label
-/// support (Algorithm 4, Lines 10–23). Returns `(point, label)` pairs;
-/// `None` labels are outliers.
+/// support (Algorithm 4, Lines 10–23). `cells` lists directory indices
+/// into `source`, visited in the given order. Returns `(point, label)`
+/// pairs; `None` labels are outliers.
+///
+/// Core cells need only their ids. A non-core cell gathers its own
+/// coordinates, and each predecessor's core coordinates are gathered
+/// once per partition, so border cells near the same core cell share
+/// one gather and the per-point loop is pure arithmetic.
 ///
 /// Runs inside a `run_stage` task, so internal-consistency violations
 /// (a partition cell absent from the dictionary, an undetermined cell
-/// in a supposedly global graph) surface as [`TaskError`]s and flow
-/// through the engine's failure path instead of panicking a worker.
+/// in a supposedly global graph) and failed gathers surface as
+/// [`TaskError`]s and flow through the engine's failure path instead of
+/// panicking a worker.
 pub fn label_partition(
-    partition: &Partition,
+    source: &CellSource<'_>,
+    cells: &[u32],
     support: &LabelSupport,
     core_points: &FxHashMap<u32, Vec<PointId>>,
     dict: &CellDictionary,
-    data: &Dataset,
     eps: f64,
 ) -> Result<Vec<(PointId, Option<u32>)>, TaskError> {
     let eps2 = eps * eps;
-    let mut out = Vec::with_capacity(partition.num_points());
-    for cell in &partition.cells {
-        let idx = dict.index_of(&cell.coord).ok_or_else(|| {
-            TaskError::new(format!(
-                "partition cell {} missing from dictionary",
-                cell.coord
-            ))
+    let dim = source.dim();
+    let mut out = Vec::new();
+    let mut s = Scratch::default();
+    // Gathered coordinates of each predecessor cell's core points, keyed
+    // by dictionary cell index.
+    let mut core_coords: FxHashMap<u32, Vec<f64>> = FxHashMap::default();
+    for &ci in cells {
+        let coord = source.coord(ci);
+        let idx = dict.index_of(coord).ok_or_else(|| {
+            TaskError::new(format!("partition cell {coord} missing from dictionary"))
         })?;
+        source.gather_ids(ci, &mut s)?;
         match support.global.cell_type(idx) {
             CellType::Core => {
                 // All points of a core cell share its cluster (Lines 13–16).
                 let cid = support.clusters.cluster_of_cell[&idx];
-                for &p in &cell.points {
-                    out.push((p, Some(cid)));
-                }
+                out.extend(s.ids.iter().map(|&p| (p, Some(cid))));
             }
             CellType::NonCore => {
                 // Border points: exact check against predecessor core
                 // points (Lines 18–23); first qualifying predecessor in
                 // cell-coordinate order wins, as in sequential DBSCAN's
                 // first-come assignment.
+                source.gather_coords(ci, &mut s)?;
                 let pred_cells = support.preds.get(&idx).map_or(&[][..], Vec::as_slice);
-                for &q in &cell.points {
-                    let qc = data.point(q);
+                for &pc in pred_cells {
+                    if core_coords.contains_key(&pc) {
+                        continue;
+                    }
+                    let Some(cores) = core_points.get(&pc) else {
+                        continue;
+                    };
+                    let mut gathered = Vec::new();
+                    source.gather_core_coords(
+                        &dict.entry(pc).coord,
+                        cores,
+                        &mut s,
+                        &mut gathered,
+                    )?;
+                    core_coords.insert(pc, gathered);
+                }
+                for (&q, qc) in s.ids.iter().zip(s.coords.chunks_exact(dim)) {
                     let mut label = None;
                     'search: for &pc in pred_cells {
-                        if let Some(cores) = core_points.get(&pc) {
-                            for &p in cores {
-                                if dist2(data.point(p), qc) <= eps2 {
+                        if let Some(pcoords) = core_coords.get(&pc) {
+                            for pcc in pcoords.chunks_exact(dim) {
+                                if dist2(pcc, qc) <= eps2 {
                                     label = Some(support.clusters.cluster_of_cell[&pc]);
                                     break 'search;
                                 }
@@ -187,9 +212,10 @@ pub fn assemble_clustering(n: usize, parts: Vec<Vec<(PointId, Option<u32>)>>) ->
 mod tests {
     use super::*;
     use crate::merge::{tournament, Run};
-    use crate::partition::{group_by_cell, pseudo_random_partition};
+    use crate::partition::{group_by_cell, pseudo_random_deal};
     use crate::phase2::{build_local_clustering, QueryRouting};
     use rpdbscan_engine::{CostModel, Engine};
+    use rpdbscan_geom::Dataset;
     use rpdbscan_grid::{CellEntry, DictionaryIndex, GridSpec};
 
     /// End-to-end mini pipeline (partition → phase2 → merge → label) used
@@ -203,13 +229,17 @@ mod tests {
         let data = Dataset::from_rows(2, rows).unwrap();
         let spec = GridSpec::new(2, eps, 0.01).unwrap();
         let cells = group_by_cell(&spec, &data);
-        let parts = pseudo_random_partition(cells, k, 0);
+        let src = CellSource::Resident {
+            data: &data,
+            cells: &cells,
+        };
+        let parts = pseudo_random_deal((0..cells.len() as u32).collect(), k, 0);
         let dict = CellDictionary::build_from_points(spec.clone(), data.iter().map(|(_, p)| p));
         let index = DictionaryIndex::new(dict, 1 << 16);
         let locals: Vec<_> = parts
             .iter()
             .map(|p| {
-                build_local_clustering(p, &data, &index, min_pts, QueryRouting::auto(&index))
+                build_local_clustering(&src, p, &index, min_pts, QueryRouting::auto(&index))
                     .unwrap()
             })
             .collect();
@@ -227,7 +257,7 @@ mod tests {
         let support = LabelSupport::build(g, index.dict());
         let labeled: Vec<_> = parts
             .iter()
-            .map(|p| label_partition(p, &support, &core_points, index.dict(), &data, eps).unwrap())
+            .map(|p| label_partition(&src, p, &support, &core_points, index.dict(), eps).unwrap())
             .collect();
         (assemble_clustering(data.len(), labeled), support.clusters)
     }

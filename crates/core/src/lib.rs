@@ -53,18 +53,20 @@ pub mod params;
 pub mod partition;
 pub mod phase2;
 pub mod repair;
+pub mod source;
 
 pub use driver::{validate_backend_config, RpDbscan, RpDbscanOutput, RunStats};
 pub use export::{CellExport, CellGraph};
 pub use graph::{CellSubgraph, CellType, EdgeType};
 pub use ooc::OutOfCoreConfig;
 pub use params::{DensityBackendKind, RpDbscanParams};
-pub use partition::{pseudo_random_deal, CellPoints, Partition};
-pub use phase2::{LocalBuilder, PointSource, QueryRouting};
+pub use partition::{pseudo_random_deal, CellPoints};
+pub use phase2::{LocalBuilder, QueryRouting};
 pub use repair::{
     assign_border_point, cell_contribution, contribution_delta, recompute_cell, sub_diff,
     CellRepair, SubDiff,
 };
+pub use source::CellSource;
 
 /// Errors from the RP-DBSCAN driver.
 #[derive(Debug, Clone, PartialEq)]

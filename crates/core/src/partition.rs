@@ -22,22 +22,6 @@ pub struct CellPoints {
     pub points: Vec<PointId>,
 }
 
-/// One pseudo random partition: a set of whole cells.
-#[derive(Debug, Clone)]
-pub struct Partition {
-    /// Partition id in `0..k`.
-    pub id: usize,
-    /// Member cells with their points.
-    pub cells: Vec<CellPoints>,
-}
-
-impl Partition {
-    /// Total number of points in the partition.
-    pub fn num_points(&self) -> usize {
-        self.cells.iter().map(|c| c.points.len()).sum()
-    }
-}
-
 /// Groups the data set's points by cell.
 ///
 /// This is Algorithm 2's first Map/Reduce pair (`emit(cid, p)` then
@@ -56,14 +40,17 @@ pub fn group_by_cell(spec: &GridSpec, data: &Dataset) -> Vec<CellPoints> {
     cells
 }
 
-/// The seeded shuffle + round-robin deal at the heart of
-/// [`pseudo_random_partition`], generic over the item being dealt.
+/// Distributes items over `k` partitions uniformly at random
+/// (Algorithm 2, Lines 5–11: a random key per cell, then aggregation by
+/// key). A seeded shuffle followed by round-robin dealing realises the
+/// paper's "partitions of the same size" with counts equal to ±1.
 ///
-/// The resident pipeline deals [`CellPoints`]; the out-of-core pipeline
-/// deals directory cell *indices*. Because `StdRng::seed_from_u64` plus
-/// `shuffle` depend only on the seed and the item count, both pipelines
-/// deal the same-length, same-order cell list identically — the anchor
-/// of their bit-for-bit output equivalence.
+/// The batch pipeline deals directory cell *indices* (positions in a
+/// [`crate::CellSource`]'s coordinate-sorted cell list). Because
+/// `StdRng::seed_from_u64` plus `shuffle` depend only on the seed and
+/// the item count, the resident and paged sources of the same points
+/// are dealt identically — the anchor of their bit-for-bit output
+/// equivalence.
 pub fn pseudo_random_deal<T>(items: Vec<T>, k: usize, seed: u64) -> Vec<Vec<T>> {
     assert!(k >= 1, "need at least one partition");
     let mut items = items;
@@ -78,18 +65,6 @@ pub fn pseudo_random_deal<T>(items: Vec<T>, k: usize, seed: u64) -> Vec<Vec<T>> 
     parts
 }
 
-/// Distributes cells over `k` partitions uniformly at random
-/// (Algorithm 2, Lines 5–11: a random key per cell, then aggregation by
-/// key). A seeded shuffle followed by round-robin dealing realises the
-/// paper's "partitions of the same size" with cell counts equal to ±1.
-pub fn pseudo_random_partition(cells: Vec<CellPoints>, k: usize, seed: u64) -> Vec<Partition> {
-    pseudo_random_deal(cells, k, seed)
-        .into_iter()
-        .enumerate()
-        .map(|(id, cells)| Partition { id, cells })
-        .collect()
-}
-
 /// Ablation variant: *true* random partitioning of individual points
 /// (Figure 1b without the cell trick). Cells are split across partitions,
 /// so each partition re-derives its own (partial) cells. Used by the
@@ -99,7 +74,7 @@ pub fn true_random_partition(
     data: &Dataset,
     k: usize,
     seed: u64,
-) -> Vec<Partition> {
+) -> Vec<Vec<CellPoints>> {
     assert!(k >= 1, "need at least one partition");
     let mut ids: Vec<PointId> = data.ids().collect();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -119,7 +94,7 @@ pub fn true_random_partition(
             .map(|(coord, points)| CellPoints { coord, points })
             .collect();
         cells.sort_unstable_by(|a, b| a.coord.cmp(&b.coord));
-        parts.push(Partition { id: pid, cells });
+        parts.push(cells);
     }
     parts
 }
@@ -137,6 +112,10 @@ mod tests {
 
     fn spec() -> GridSpec {
         GridSpec::new(2, 1.0, 0.5).unwrap()
+    }
+
+    fn num_points(part: &[CellPoints]) -> usize {
+        part.iter().map(|c| c.points.len()).sum()
     }
 
     #[test]
@@ -171,11 +150,11 @@ mod tests {
         let d = data(400, 3);
         let cells = group_by_cell(&spec(), &d);
         let n_cells = cells.len();
-        let parts = pseudo_random_partition(cells, 7, 42);
+        let parts = pseudo_random_deal(cells, 7, 42);
         assert_eq!(parts.len(), 7);
-        let total_cells: usize = parts.iter().map(|p| p.cells.len()).sum();
+        let total_cells: usize = parts.iter().map(Vec::len).sum();
         assert_eq!(total_cells, n_cells);
-        let total_points: usize = parts.iter().map(|p| p.num_points()).sum();
+        let total_points: usize = parts.iter().map(|p| num_points(p)).sum();
         assert_eq!(total_points, 400, "duplication must be exactly zero");
     }
 
@@ -183,8 +162,8 @@ mod tests {
     fn cell_counts_differ_by_at_most_one() {
         let d = data(1000, 4);
         let cells = group_by_cell(&spec(), &d);
-        let parts = pseudo_random_partition(cells, 6, 0);
-        let counts: Vec<usize> = parts.iter().map(|p| p.cells.len()).collect();
+        let parts = pseudo_random_deal(cells, 6, 0);
+        let counts: Vec<usize> = parts.iter().map(Vec::len).collect();
         let min = counts.iter().min().unwrap();
         let max = counts.iter().max().unwrap();
         assert!(max - min <= 1, "{counts:?}");
@@ -193,11 +172,11 @@ mod tests {
     #[test]
     fn partitioning_is_seed_deterministic() {
         let d = data(200, 5);
-        let a = pseudo_random_partition(group_by_cell(&spec(), &d), 4, 7);
-        let b = pseudo_random_partition(group_by_cell(&spec(), &d), 4, 7);
+        let a = pseudo_random_deal(group_by_cell(&spec(), &d), 4, 7);
+        let b = pseudo_random_deal(group_by_cell(&spec(), &d), 4, 7);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.cells.len(), y.cells.len());
-            for (cx, cy) in x.cells.iter().zip(&y.cells) {
+            assert_eq!(x.len(), y.len());
+            for (cx, cy) in x.iter().zip(y) {
                 assert_eq!(cx.coord, cy.coord);
             }
         }
@@ -206,14 +185,10 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let d = data(300, 6);
-        let a = pseudo_random_partition(group_by_cell(&spec(), &d), 4, 1);
-        let b = pseudo_random_partition(group_by_cell(&spec(), &d), 4, 2);
+        let a = pseudo_random_deal(group_by_cell(&spec(), &d), 4, 1);
+        let b = pseudo_random_deal(group_by_cell(&spec(), &d), 4, 2);
         let same = a.iter().zip(&b).all(|(x, y)| {
-            x.cells.len() == y.cells.len()
-                && x.cells
-                    .iter()
-                    .zip(&y.cells)
-                    .all(|(cx, cy)| cx.coord == cy.coord)
+            x.len() == y.len() && x.iter().zip(y).all(|(cx, cy)| cx.coord == cy.coord)
         });
         assert!(!same, "shuffle appears seed-independent");
     }
@@ -221,9 +196,9 @@ mod tests {
     #[test]
     fn single_partition_keeps_everything() {
         let d = data(100, 7);
-        let parts = pseudo_random_partition(group_by_cell(&spec(), &d), 1, 0);
+        let parts = pseudo_random_deal(group_by_cell(&spec(), &d), 1, 0);
         assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].num_points(), 100);
+        assert_eq!(num_points(&parts[0]), 100);
     }
 
     #[test]
@@ -231,11 +206,11 @@ mod tests {
         let d = data(600, 8);
         let s = spec();
         let parts = true_random_partition(&s, &d, 5, 3);
-        let total: usize = parts.iter().map(|p| p.num_points()).sum();
+        let total: usize = parts.iter().map(|p| num_points(p)).sum();
         assert_eq!(total, 600);
         // Point-level balance is near-exact by construction.
         for p in &parts {
-            assert!((p.num_points() as i64 - 120).abs() <= 1);
+            assert!((num_points(p) as i64 - 120).abs() <= 1);
         }
     }
 }

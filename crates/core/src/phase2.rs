@@ -8,9 +8,9 @@
 //! III merges the knowledge in.
 
 use crate::graph::{CellSubgraph, CellType};
-use crate::partition::Partition;
+use crate::source::{CellSource, Scratch};
 use rpdbscan_engine::TaskError;
-use rpdbscan_geom::{Dataset, PointId};
+use rpdbscan_geom::PointId;
 use rpdbscan_grid::{
     CellQueryPlan, DictionaryIndex, FxHashMap, PlannerCostModel, QueryRoute, QueryStats,
 };
@@ -74,38 +74,10 @@ pub struct LocalClustering {
     pub queries: u64,
 }
 
-/// Where a cell's point coordinates come from.
-///
-/// The resident pipeline reads them straight out of the shared
-/// [`Dataset`]; the out-of-core pipeline gathers them through the buffer
-/// pool into a row-major scratch buffer first. Both feed the same
-/// [`LocalBuilder`], so Algorithm 3's decisions — and therefore the
-/// clustering output — are bit-identical between the two.
-#[derive(Debug, Clone, Copy)]
-pub enum PointSource<'a> {
-    /// Coordinates live in the shared dataset, addressed by point id.
-    Dataset(&'a Dataset),
-    /// Coordinates were gathered row-major: the cell's `j`-th point (in
-    /// the same order as the id slice handed to
-    /// [`LocalBuilder::process_cell`]) occupies `rows[j*dim..(j+1)*dim]`.
-    Rows(&'a [f64]),
-}
-
-impl PointSource<'_> {
-    /// Coordinates of the cell's `j`-th point, whose id is `pid`.
-    #[inline]
-    fn point(&self, dim: usize, j: usize, pid: PointId) -> &[f64] {
-        match self {
-            PointSource::Dataset(data) => data.point(pid),
-            PointSource::Rows(rows) => &rows[j * dim..(j + 1) * dim],
-        }
-    }
-}
-
 /// Incremental Algorithm 3 state: feed cells one at a time with
 /// [`Self::process_cell`], then [`Self::finish`]. Holds the partition's
 /// accumulating subgraph plus all query scratch, so processing a cell
-/// allocates nothing in steady state regardless of the point source.
+/// allocates nothing in steady state.
 #[derive(Debug)]
 pub struct LocalBuilder {
     /// The partition's subgraph so far, unsorted until [`Self::finish`].
@@ -138,9 +110,11 @@ impl LocalBuilder {
     /// Runs Algorithm 3's per-cell body: region-query every point of the
     /// cell, mark core points, and (for a core cell) add successor edges.
     ///
-    /// `ids` lists the cell's point ids; `source` resolves the `j`-th
-    /// id's coordinates. A cell absent from the broadcast dictionary is
-    /// an internal-consistency violation reported as a [`TaskError`].
+    /// `ids` lists the cell's point ids and `rows` their gathered
+    /// coordinates, row-major: the `j`-th id's point occupies
+    /// `rows[j*dim..(j+1)*dim]`. A cell absent from the broadcast
+    /// dictionary is an internal-consistency violation reported as a
+    /// [`TaskError`].
     pub fn process_cell(
         &mut self,
         index: &DictionaryIndex,
@@ -148,9 +122,10 @@ impl LocalBuilder {
         routing: QueryRouting,
         coord: &rpdbscan_grid::CellCoord,
         ids: &[PointId],
-        source: PointSource<'_>,
+        rows: &[f64],
     ) -> Result<(), TaskError> {
         let dim = index.spec().dim();
+        debug_assert_eq!(rows.len(), ids.len() * dim, "one row per id");
         let cell_idx = index.dict().index_of(coord).ok_or_else(|| {
             TaskError::new(format!(
                 "partition cell {coord} missing from broadcast dictionary"
@@ -171,8 +146,7 @@ impl LocalBuilder {
                 None
             }
         };
-        for (j, &pid) in ids.iter().enumerate() {
-            let p = source.point(dim, j, pid);
+        for (&pid, p) in ids.iter().zip(rows.chunks_exact(dim)) {
             match &plan {
                 Some(plan) => plan.query_into(p, &mut self.r),
                 None => index.region_query_cells_scratch(p, &mut self.r, &mut self.center),
@@ -221,40 +195,33 @@ impl LocalBuilder {
     }
 }
 
-/// Runs Algorithm 3 on one partition.
+/// Runs Algorithm 3 over the cells of one partition: `cells` lists
+/// directory indices into `source`, visited in the given order.
 ///
-/// `index` is the broadcast dictionary; `data` provides point coordinates
-/// (in the real system the partition physically holds them — ids suffice
-/// here because the dataset is shared read-only memory).
+/// `index` is the broadcast dictionary. `routing` decides per cell
+/// whether a [`CellQueryPlan`] is built (and every point of the cell
+/// answered through it — the kd-tree candidate search and sub-cell
+/// centre materialisation amortised over the cell's points) or each
+/// point runs the plain per-point `region_query`. The clustering output
+/// is identical on every route; the decision is recorded in the
+/// returned stats (`cells_routed_planned` / `cells_routed_kd`).
 ///
-/// `routing` decides per cell whether a [`CellQueryPlan`] is built (and
-/// every point of the cell answered through it — the kd-tree candidate
-/// search and sub-cell centre materialisation amortised over the cell's
-/// points) or each point runs the plain per-point `region_query`. The
-/// clustering output is identical on every route; the decision is
-/// recorded in the returned stats (`cells_routed_planned` /
-/// `cells_routed_kd`).
-///
-/// Runs inside a `run_stage` task; a partition cell absent from the
-/// broadcast dictionary is an internal-consistency violation reported as
-/// a [`TaskError`] so it flows through the engine's failure path.
+/// Runs inside a `run_stage` task; a failed gather or a partition cell
+/// absent from the broadcast dictionary is reported as a [`TaskError`]
+/// so it flows through the engine's failure path.
 pub fn build_local_clustering(
-    partition: &Partition,
-    data: &Dataset,
+    source: &CellSource<'_>,
+    cells: &[u32],
     index: &DictionaryIndex,
     min_pts: usize,
     routing: QueryRouting,
 ) -> Result<LocalClustering, TaskError> {
     let mut builder = LocalBuilder::new(index);
-    for cell in &partition.cells {
-        builder.process_cell(
-            index,
-            min_pts,
-            routing,
-            &cell.coord,
-            &cell.points,
-            PointSource::Dataset(data),
-        )?;
+    let mut s = Scratch::default();
+    for &ci in cells {
+        source.gather_coords(ci, &mut s)?;
+        source.gather_ids(ci, &mut s)?;
+        builder.process_cell(index, min_pts, routing, source.coord(ci), &s.ids, &s.coords)?;
     }
     Ok(builder.finish())
 }
@@ -263,7 +230,8 @@ pub fn build_local_clustering(
 mod tests {
     use super::*;
     use crate::graph::EdgeType;
-    use crate::partition::{group_by_cell, pseudo_random_partition};
+    use crate::partition::{group_by_cell, pseudo_random_deal, CellPoints};
+    use rpdbscan_geom::Dataset;
     use rpdbscan_grid::{CellDictionary, GridSpec};
 
     /// A line of 10 points spaced 0.1 apart plus one far outlier.
@@ -274,19 +242,29 @@ mod tests {
         (spec, Dataset::from_rows(2, &rows).unwrap())
     }
 
-    fn setup(spec: &GridSpec, data: &Dataset, k: usize) -> (Vec<Partition>, DictionaryIndex) {
+    /// The cells, their seeded deal into `k` partitions of directory
+    /// indices, and the dictionary index.
+    fn setup(
+        spec: &GridSpec,
+        data: &Dataset,
+        k: usize,
+    ) -> (Vec<CellPoints>, Vec<Vec<u32>>, DictionaryIndex) {
         let cells = group_by_cell(spec, data);
-        let parts = pseudo_random_partition(cells, k, 0);
+        let parts = pseudo_random_deal((0..cells.len() as u32).collect(), k, 0);
         let dict = CellDictionary::build_from_points(spec.clone(), data.iter().map(|(_, p)| p));
-        (parts, DictionaryIndex::new(dict, 1 << 16))
+        (cells, parts, DictionaryIndex::new(dict, 1 << 16))
     }
 
     #[test]
     fn dense_line_marks_core_outlier_does_not() {
         let (spec, data) = line_world();
-        let (parts, index) = setup(&spec, &data, 1);
+        let (cells, parts, index) = setup(&spec, &data, 1);
+        let src = CellSource::Resident {
+            data: &data,
+            cells: &cells,
+        };
         let local =
-            build_local_clustering(&parts[0], &data, &index, 4, QueryRouting::Planned).unwrap();
+            build_local_clustering(&src, &parts[0], &index, 4, QueryRouting::Planned).unwrap();
         // Some interior cell must be core; the outlier's cell must not be.
         let outlier_cell = index.dict().index_of(&spec.cell_of(&[50.0, 50.0])).unwrap();
         assert_eq!(local.subgraph.cell_type(outlier_cell), CellType::NonCore);
@@ -305,9 +283,13 @@ mod tests {
     #[test]
     fn single_partition_edges_are_all_determined() {
         let (spec, data) = line_world();
-        let (parts, index) = setup(&spec, &data, 1);
+        let (cells, parts, index) = setup(&spec, &data, 1);
+        let src = CellSource::Resident {
+            data: &data,
+            cells: &cells,
+        };
         let local =
-            build_local_clustering(&parts[0], &data, &index, 4, QueryRouting::Planned).unwrap();
+            build_local_clustering(&src, &parts[0], &index, 4, QueryRouting::Planned).unwrap();
         assert!(local.subgraph.is_global());
         let (_, _, undet) = local.subgraph.edge_type_counts();
         assert_eq!(undet, 0);
@@ -316,11 +298,15 @@ mod tests {
     #[test]
     fn multi_partition_leaves_cross_edges_undetermined() {
         let (spec, data) = line_world();
-        let (parts, index) = setup(&spec, &data, 3);
+        let (cells, parts, index) = setup(&spec, &data, 3);
+        let src = CellSource::Resident {
+            data: &data,
+            cells: &cells,
+        };
         let mut any_undetermined = false;
         for part in &parts {
             let local =
-                build_local_clustering(part, &data, &index, 4, QueryRouting::Planned).unwrap();
+                build_local_clustering(&src, part, &index, 4, QueryRouting::Planned).unwrap();
             let (_, _, undet) = local.subgraph.edge_type_counts();
             if undet > 0 {
                 any_undetermined = true;
@@ -335,9 +321,13 @@ mod tests {
     #[test]
     fn min_pts_one_everything_with_a_point_is_core() {
         let (spec, data) = line_world();
-        let (parts, index) = setup(&spec, &data, 1);
+        let (cells, parts, index) = setup(&spec, &data, 1);
+        let src = CellSource::Resident {
+            data: &data,
+            cells: &cells,
+        };
         let local =
-            build_local_clustering(&parts[0], &data, &index, 1, QueryRouting::Planned).unwrap();
+            build_local_clustering(&src, &parts[0], &index, 1, QueryRouting::Planned).unwrap();
         for &(cell, t) in local.subgraph.types() {
             assert_eq!(t, CellType::Core, "cell {cell} not core at minPts=1");
         }
@@ -346,9 +336,13 @@ mod tests {
     #[test]
     fn huge_min_pts_nothing_is_core() {
         let (spec, data) = line_world();
-        let (parts, index) = setup(&spec, &data, 1);
+        let (cells, parts, index) = setup(&spec, &data, 1);
+        let src = CellSource::Resident {
+            data: &data,
+            cells: &cells,
+        };
         let local =
-            build_local_clustering(&parts[0], &data, &index, 1000, QueryRouting::Planned).unwrap();
+            build_local_clustering(&src, &parts[0], &index, 1000, QueryRouting::Planned).unwrap();
         assert!(local.core_points.is_empty());
         assert_eq!(local.subgraph.num_edges(), 0);
         for &(_, t) in local.subgraph.types() {
@@ -359,9 +353,13 @@ mod tests {
     #[test]
     fn edges_originate_from_core_cells_only() {
         let (spec, data) = line_world();
-        let (parts, index) = setup(&spec, &data, 1);
+        let (cells, parts, index) = setup(&spec, &data, 1);
+        let src = CellSource::Resident {
+            data: &data,
+            cells: &cells,
+        };
         let local =
-            build_local_clustering(&parts[0], &data, &index, 4, QueryRouting::Planned).unwrap();
+            build_local_clustering(&src, &parts[0], &index, 4, QueryRouting::Planned).unwrap();
         for &(from, _) in local.subgraph.edges() {
             assert_eq!(local.subgraph.cell_type(from), CellType::Core);
         }
@@ -377,11 +375,15 @@ mod tests {
     fn planner_and_oracle_paths_agree_exactly() {
         let (spec, data) = line_world();
         for k in [1, 3] {
-            let (parts, index) = setup(&spec, &data, k);
+            let (cells, parts, index) = setup(&spec, &data, k);
+            let src = CellSource::Resident {
+                data: &data,
+                cells: &cells,
+            };
             for part in &parts {
                 for min_pts in [1, 4, 1000] {
                     let oracle =
-                        build_local_clustering(part, &data, &index, min_pts, QueryRouting::Oracle)
+                        build_local_clustering(&src, part, &index, min_pts, QueryRouting::Oracle)
                             .unwrap();
                     assert_eq!(oracle.stats.plan_hits, 0);
                     assert_eq!(oracle.stats.cells_routed_planned, 0);
@@ -393,7 +395,7 @@ mod tests {
                         QueryRouting::Auto(PlannerCostModel { min_occupancy: 2 }),
                     ] {
                         let routed =
-                            build_local_clustering(part, &data, &index, min_pts, routing).unwrap();
+                            build_local_clustering(&src, part, &index, min_pts, routing).unwrap();
                         assert_eq!(routed.queries, oracle.queries);
                         assert_eq!(routed.core_points, oracle.core_points);
                         assert_eq!(routed.subgraph.types(), oracle.subgraph.types());
@@ -409,7 +411,7 @@ mod tests {
                         // Routing decisions are fully accounted for.
                         assert_eq!(
                             routed.stats.cells_routed_planned + routed.stats.cells_routed_kd,
-                            part.cells.len() as u32,
+                            part.len() as u32,
                             "every cell gets exactly one routing decision"
                         );
                         assert_eq!(
@@ -428,11 +430,15 @@ mod tests {
     #[test]
     fn query_counts_match_point_count() {
         let (spec, data) = line_world();
-        let (parts, index) = setup(&spec, &data, 2);
+        let (cells, parts, index) = setup(&spec, &data, 2);
+        let src = CellSource::Resident {
+            data: &data,
+            cells: &cells,
+        };
         let total: u64 = parts
             .iter()
             .map(|p| {
-                build_local_clustering(p, &data, &index, 4, QueryRouting::auto(&index))
+                build_local_clustering(&src, p, &index, 4, QueryRouting::auto(&index))
                     .unwrap()
                     .queries
             })

@@ -295,12 +295,13 @@ mod tests {
         let dict = CellDictionary::build_from_points(spec.clone(), data.iter().map(|(_, p)| p));
         let index = DictionaryIndex::single(dict);
         let cells = group_by_cell(&spec, &data);
-        let part = crate::partition::Partition {
-            id: 0,
-            cells: cells.clone(),
+        let src = crate::CellSource::Resident {
+            data: &data,
+            cells: &cells,
         };
+        let all: Vec<u32> = (0..cells.len() as u32).collect();
         let local =
-            build_local_clustering(&part, &data, &index, 4, QueryRouting::auto(&index)).unwrap();
+            build_local_clustering(&src, &all, &index, 4, QueryRouting::auto(&index)).unwrap();
         for cell in &cells {
             let ids: Vec<u32> = cell.points.iter().map(|p| p.0).collect();
             let rep = recompute_cell(

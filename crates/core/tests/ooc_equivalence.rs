@@ -187,3 +187,35 @@ fn empty_store_clusters_nothing() {
     assert_eq!(out.stats.num_clusters, 0);
     assert_eq!(out.stats.points_processed, 0);
 }
+
+#[test]
+fn injected_fault_fails_typed_and_leaves_no_spill_files() {
+    let rows = blobs(2, 60);
+    let store = build_store(&rows, 2, 1.0, 0.1, 64);
+    let spill_root =
+        std::env::temp_dir().join(format!("rpdbscan-equiv-fault-{}.spill", std::process::id()));
+    std::fs::create_dir_all(&spill_root).unwrap();
+    let cfg = OutOfCoreConfig::new(1 << 20).with_spill_dir(spill_root.clone());
+    let engine = Engine::with_cost_model(4, CostModel::free());
+    let params = RpDbscanParams::new(1.0, 5).with_rho(0.1).with_partitions(4);
+
+    let faulty = RpDbscan::new(params.with_injected_fault(1)).unwrap();
+    match faulty.run_out_of_core(&store, &cfg, &engine).unwrap_err() {
+        rpdbscan_core::CoreError::Stage(e) => {
+            assert_eq!(e.stage, "phase2:local-clustering");
+            assert!(e.to_string().contains("injected fault"), "{e}");
+        }
+        other => panic!("expected Stage error, got {other:?}"),
+    }
+    let left: Vec<_> = std::fs::read_dir(&spill_root).unwrap().collect();
+    assert!(left.is_empty(), "spill files left behind: {left:?}");
+
+    // The engine survives the failure and runs the same store again.
+    let ok = RpDbscan::new(params)
+        .unwrap()
+        .run_out_of_core(&store, &cfg, &engine)
+        .unwrap();
+    assert_eq!(ok.clustering.num_clusters(), 3);
+    assert!(ok.stats.spill_bytes_written > 0);
+    std::fs::remove_dir(&spill_root).unwrap();
+}

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rpdbscan_core::graph::{CellSubgraph, CellType, UnionFind};
 use rpdbscan_core::merge::{merge_runs, tournament, write_run, Run, RunReader};
-use rpdbscan_core::partition::{group_by_cell, pseudo_random_partition};
+use rpdbscan_core::partition::{group_by_cell, pseudo_random_deal};
 use rpdbscan_core::{RpDbscan, RpDbscanParams};
 use rpdbscan_engine::{CostModel, Engine};
 use rpdbscan_geom::Dataset;
@@ -72,12 +72,12 @@ proptest! {
         let spec = GridSpec::new(2, 1.0, 0.25).unwrap();
         let cells = group_by_cell(&spec, &data);
         let n_cells = cells.len();
-        let parts = pseudo_random_partition(cells, k, seed);
-        let total_cells: usize = parts.iter().map(|p| p.cells.len()).sum();
+        let parts = pseudo_random_deal(cells, k, seed);
+        let total_cells: usize = parts.iter().map(Vec::len).sum();
         prop_assert_eq!(total_cells, n_cells);
-        let total_points: usize = parts.iter().map(|p| p.num_points()).sum();
+        let total_points: usize = parts.iter().flatten().map(|c| c.points.len()).sum();
         prop_assert_eq!(total_points, pts.len());
-        let counts: Vec<usize> = parts.iter().map(|p| p.cells.len()).collect();
+        let counts: Vec<usize> = parts.iter().map(Vec::len).collect();
         let (mn, mx) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
         prop_assert!(mx - mn <= 1);
     }

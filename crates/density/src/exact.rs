@@ -2,7 +2,7 @@
 
 use crate::{DensityBackend, DensityError, DensityOutput, DensityStats};
 use rpdbscan_core::phase2::{build_local_clustering, QueryRouting};
-use rpdbscan_core::{partition::group_by_cell, DensityBackendKind, Partition};
+use rpdbscan_core::{partition::group_by_cell, CellSource, DensityBackendKind};
 use rpdbscan_core::{RpDbscan, RpDbscanParams};
 use rpdbscan_engine::Engine;
 use rpdbscan_geom::{Dataset, PointId};
@@ -44,20 +44,21 @@ impl DensityBackend for ExactGrid {
 
         // Core status is a per-point property, so any cell split gives
         // the same flags; chunk the (already coordinate-sorted) cells
-        // into `num_partitions` tasks for engine fan-out.
+        // into `num_partitions` contiguous directory-index ranges for
+        // engine fan-out.
         let cells = group_by_cell(index.spec(), data);
-        let partitions: Vec<Partition> = crate::point_ranges(cells.len(), p.num_partitions)
+        let src = CellSource::Resident {
+            data,
+            cells: &cells,
+        };
+        let ranges: Vec<Vec<u32>> = crate::point_ranges(cells.len(), p.num_partitions)
             .into_iter()
-            .enumerate()
-            .map(|(id, (lo, hi))| Partition {
-                id,
-                cells: cells[lo..hi].to_vec(),
-            })
+            .map(|(lo, hi)| (lo as u32..hi as u32).collect())
             .collect();
 
         let min_pts = p.min_pts;
-        let stage = engine.run_stage("density:exact-cores", partitions, |_ctx, part| {
-            let local = build_local_clustering(&part, data, &index, min_pts, routing)?;
+        let stage = engine.run_stage("density:exact-cores", ranges, |_ctx, part| {
+            let local = build_local_clustering(&src, &part, &index, min_pts, routing)?;
             let mut ids: Vec<PointId> = local.core_points.into_values().flatten().collect();
             ids.sort_unstable();
             Ok(ids)

@@ -257,21 +257,56 @@ pub struct ServingIndex {
 
 /// FNV-1a over a cell's lattice coordinates: the shard routing hash.
 pub(crate) fn shard_of_cell(coord: &CellCoord, num_shards: usize) -> usize {
-    (coord_fnv64(coord.coords()) % num_shards as u64) as usize
+    (fnv64(coord.coords().iter().copied()) % num_shards as u64) as usize
 }
 
-/// FNV-1a over a coordinate's lattice indices. Shard routing reduces it
-/// modulo the shard count; the patch invalidation window stores the full
-/// 64 bits as a compact stand-in for the coordinate itself (a collision
-/// merely over-invalidates one cached plan, which is sound).
-pub(crate) fn coord_fnv64(coords: &[i64]) -> u64 {
+/// FNV-1a over a sequence of i64 values (LE bytes). Shard routing hashes
+/// a cell's lattice coordinates and reduces the hash modulo the shard
+/// count; the patch invalidation window hashes super-cell coordinates
+/// and stores the full 64 bits as a compact stand-in for them (a
+/// collision merely over-invalidates one cached plan, which is sound).
+/// Streaming, so callers never materialise the coordinate they hash.
+pub(crate) fn fnv64(vals: impl IntoIterator<Item = i64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &c in coords {
-        for b in c.to_le_bytes() {
+    for v in vals {
+        for b in v.to_le_bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
     h
+}
+
+/// Cluster `c`'s stats row, growing `clusters` with empty rows up to it.
+pub(crate) fn cluster_entry(clusters: &mut Vec<ClusterStats>, c: u32) -> &mut ClusterStats {
+    while clusters.len() <= c as usize {
+        clusters.push(ClusterStats {
+            cluster: clusters.len() as u32,
+            points: 0,
+            core_points: 0,
+            core_cells: 0,
+        });
+    }
+    &mut clusters[c as usize]
+}
+
+/// Per-cluster summaries folded from every core cell's
+/// `(cluster, core points)` and every point's label, sized to the
+/// highest cluster id present. Folded over plain sequences, so the
+/// totals never depend on hash-map iteration order.
+pub(crate) fn fold_cluster_stats(
+    core_cells: impl IntoIterator<Item = (u32, usize)>,
+    point_labels: impl IntoIterator<Item = Option<u32>>,
+) -> Vec<ClusterStats> {
+    let mut clusters = Vec::new();
+    for (c, core_points) in core_cells {
+        let entry = cluster_entry(&mut clusters, c);
+        entry.core_cells += 1;
+        entry.core_points += core_points;
+    }
+    for c in point_labels.into_iter().flatten() {
+        cluster_entry(&mut clusters, c).points += 1;
+    }
+    clusters
 }
 
 /// Multiplicative hash routing a point id to its shard.
@@ -361,34 +396,12 @@ impl ServingIndex {
         let dim = spec.dim();
         let eps2 = spec.eps() * spec.eps();
 
-        // Per-cluster summaries, folded over the plain vectors so the
-        // totals never depend on hash-map iteration order.
-        let num_clusters = exports
-            .iter()
-            .filter_map(|e| e.cluster)
-            .chain(rows.iter().filter_map(|&(_, l)| l))
-            .map(|c| c as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut clusters: Vec<ClusterStats> = (0..num_clusters)
-            .map(|c| ClusterStats {
-                cluster: c as u32,
-                points: 0,
-                core_points: 0,
-                core_cells: 0,
-            })
-            .collect();
-        for e in &exports {
-            if let Some(c) = e.cluster {
-                clusters[c as usize].core_cells += 1;
-                clusters[c as usize].core_points += e.core_coords.len() / dim;
-            }
-        }
-        for &(_, label) in &rows {
-            if let Some(c) = label {
-                clusters[c as usize].points += 1;
-            }
-        }
+        let clusters = fold_cluster_stats(
+            exports
+                .iter()
+                .filter_map(|e| Some((e.cluster?, e.core_coords.len() / dim))),
+            rows.iter().map(|&(_, label)| label),
+        );
 
         let mut shards: Vec<Shard> = (0..k).map(|_| Shard::default()).collect();
         let mut scratch = vec![0.0; dim];

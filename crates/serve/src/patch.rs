@@ -20,7 +20,8 @@
 //! it did against the base — the [`PatchSummary`] exports that window
 //! (`invalidates`) and the server carries everything outside it.
 
-use crate::index::{shard_of_cell, shard_of_point, CellRecord, LabelShard};
+use crate::index::{cluster_entry, fnv64, fold_cluster_stats, shard_of_cell, shard_of_point};
+use crate::index::{CellRecord, LabelShard};
 use crate::index::{ServingIndex, Shard};
 use crate::ServeError;
 use rpdbscan_grid::{CellCoord, FxHashMap, FxHashSet, GridSpec};
@@ -206,18 +207,6 @@ struct ShardPatch {
 /// of another is at most `b` lattice steps away per dimension).
 fn super_width(dim: usize) -> i64 {
     2 + (dim as f64).sqrt().ceil() as i64
-}
-
-/// FNV-1a over a sequence of i64 values (LE bytes) — the super-cell
-/// hash. Streaming, so callers never materialise the super coordinate.
-fn fnv64(vals: impl Iterator<Item = i64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in vals {
-        for b in v.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// Hashes of every super-cell overlapping the `±b` lattice window of a
@@ -521,25 +510,13 @@ impl ServingIndex {
             // per-row deltas — integer adds, so the totals land exactly
             // where a from-scratch fold would.
             let mut clusters = prev.clusters.clone();
-            let ensure = |clusters: &mut Vec<crate::ClusterStats>, c: u32| {
-                while clusters.len() <= c as usize {
-                    clusters.push(crate::ClusterStats {
-                        cluster: clusters.len() as u32,
-                        points: 0,
-                        core_points: 0,
-                        core_cells: 0,
-                    });
-                }
-            };
             for (c, d_cells, d_points) in record_deltas {
-                ensure(&mut clusters, c);
-                let entry = &mut clusters[c as usize];
+                let entry = cluster_entry(&mut clusters, c);
                 entry.core_cells = (entry.core_cells as i64 + d_cells) as usize;
                 entry.core_points = (entry.core_points as i64 + d_points) as usize;
             }
             for (c, d) in label_deltas {
-                ensure(&mut clusters, c);
-                let entry = &mut clusters[c as usize];
+                let entry = cluster_entry(&mut clusters, c);
                 entry.points = (entry.points as i64 + d) as usize;
             }
             // A full build sizes the vector to the highest id present in
@@ -555,40 +532,13 @@ impl ServingIndex {
         } else {
             // Fallback: re-fold from the assembled shards and rows,
             // exactly as the full build does.
-            let num_clusters = shards
-                .iter()
-                .flat_map(|s| s.records.iter().flatten().filter_map(|r| r.cluster))
-                .chain(
-                    rows_by_shard
-                        .iter()
-                        .flatten()
-                        .filter_map(|&(_, label)| label),
-                )
-                .map(|c| c as usize + 1)
-                .max()
-                .unwrap_or(0);
-            let mut clusters: Vec<crate::ClusterStats> = (0..num_clusters)
-                .map(|c| crate::ClusterStats {
-                    cluster: c as u32,
-                    points: 0,
-                    core_points: 0,
-                    core_cells: 0,
-                })
-                .collect();
-            for shard in &shards {
-                for rec in shard.records.iter().flatten() {
-                    if let Some(c) = rec.cluster {
-                        clusters[c as usize].core_cells += 1;
-                        clusters[c as usize].core_points += rec.core.len() / dim;
-                    }
-                }
-            }
-            for &(_, label) in rows_by_shard.iter().flatten() {
-                if let Some(c) = label {
-                    clusters[c as usize].points += 1;
-                }
-            }
-            clusters
+            fold_cluster_stats(
+                shards
+                    .iter()
+                    .flat_map(|s| s.records.iter().flatten())
+                    .filter_map(|r| Some((r.cluster?, r.core.len() / dim))),
+                rows_by_shard.iter().flatten().map(|&(_, label)| label),
+            )
         };
         let num_points = label_shards.iter().map(|l| l.labels.len()).sum();
 
