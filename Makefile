@@ -14,7 +14,7 @@ test:
 # exhaustive interleaving sweep over the concurrency protocols.
 lint:
 	cargo fmt --check
-	cargo clippy --workspace -- -D warnings
+	cargo clippy --workspace --all-targets -- -D warnings
 	cargo run -p xtask -- lint
 	cargo test -q -p model
 

@@ -25,10 +25,6 @@ use rpdbscan_store::SpillDir;
 /// 12/13/14/17).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
-    /// Density backend that answered the Phase II core-point decision
-    /// (`exact` for every run of this driver; the approximate backends
-    /// report through `rpdbscan-density`'s own stats).
-    pub backend: &'static str,
     /// Non-empty cells in the dictionary.
     pub dict_cells: usize,
     /// Non-empty sub-cells in the dictionary.
@@ -280,7 +276,6 @@ impl RpDbscan {
         let clustering = assemble_clustering(source.num_points(), labeled.outputs);
 
         let stats = RunStats {
-            backend: p.density_backend.name(),
             dict_cells,
             dict_subcells,
             dict_size_bits,
@@ -503,17 +498,6 @@ mod tests {
                 "frac={frac}"
             );
         }
-    }
-
-    #[test]
-    fn run_stats_carry_the_backend_tag() {
-        let data = two_blob_data();
-        let engine = Engine::with_cost_model(4, CostModel::free());
-        let out = RpDbscan::new(RpDbscanParams::new(1.0, 5))
-            .unwrap()
-            .run(&data, &engine)
-            .unwrap();
-        assert_eq!(out.stats.backend, "exact");
     }
 
     #[test]

@@ -111,7 +111,6 @@ mod tests {
         assert_eq!(ours.clustering.labels(), reference.clustering.labels());
         assert_eq!(ours.stats.backend, "exact");
         assert_eq!(ours.stats.num_clusters, 2);
-        assert_eq!(ours.stats.query.backend, "exact");
     }
 
     #[test]

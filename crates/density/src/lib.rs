@@ -129,9 +129,9 @@ pub struct DensityStats {
     pub num_clusters: usize,
     /// Points labelled noise.
     pub noise_points: usize,
-    /// Aggregated region-query instrumentation, tagged with this
-    /// backend's name. Only [`SampledCore`] runs dictionary region
-    /// queries, so the counters stay zero for the other backends.
+    /// Aggregated region-query instrumentation. Only [`SampledCore`]
+    /// runs dictionary region queries, so the counters stay zero for the
+    /// other backends.
     pub query: QueryStats,
 }
 
@@ -143,10 +143,7 @@ impl DensityStats {
             neighbor_searches: 0,
             num_clusters: 0,
             noise_points: 0,
-            query: QueryStats {
-                backend,
-                ..QueryStats::default()
-            },
+            query: QueryStats::default(),
         }
     }
 }

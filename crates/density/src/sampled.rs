@@ -71,10 +71,7 @@ impl SampledCore {
             return Err(DensityError::Core(CoreError::InvalidMinPts(0)));
         }
         let n = data.len();
-        let mut query = QueryStats {
-            backend: "sampled",
-            ..QueryStats::default()
-        };
+        let mut query = QueryStats::default();
         if n == 0 {
             return Ok(Solved {
                 core: Vec::new(),
@@ -238,7 +235,6 @@ mod tests {
             .cluster(&data, &engine())
             .unwrap();
         assert_eq!(out.stats.backend, "sampled");
-        assert_eq!(out.stats.query.backend, "sampled");
         assert!(out.stats.query.subdicts_visited > 0);
         assert_eq!(out.clustering.num_clusters(), 2);
         assert_eq!(out.clustering.labels()[50], None);

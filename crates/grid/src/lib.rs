@@ -30,7 +30,7 @@ pub mod query;
 pub mod spec;
 pub mod subdict;
 
-pub use cell::{CellCoord, SubCellIdx};
+pub use cell::{for_each_in_box, CellCoord, SubCellIdx};
 pub use dictionary::{CellDictionary, CellEntry, DecodeError, SubCellEntry};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use plan::{CellQueryPlan, PlanCache, PlanCacheStats, PlannerCostModel, QueryRoute};

@@ -19,14 +19,8 @@ use rpdbscan_geom::dist2;
 /// Instrumentation counters for one region query — used by the anatomy
 /// benches (§7.6) to demonstrate the effect of defragmentation and MBR
 /// skipping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Density backend these counters are attributed to. The grid's own
-    /// query path is the exact `(ε,ρ)`-region query, so the default is
-    /// `exact`; the sampled-core backend re-tags the stats it
-    /// aggregates so per-backend routing counters stay separable in
-    /// mixed reports.
-    pub backend: &'static str,
     /// Sub-dictionaries skipped by the Lemma 5.10 MBR rule.
     pub subdicts_skipped: u32,
     /// Sub-dictionaries whose kd-tree was searched.
@@ -55,28 +49,8 @@ pub struct QueryStats {
     pub cells_routed_kd: u32,
 }
 
-impl Default for QueryStats {
-    fn default() -> Self {
-        QueryStats {
-            backend: "exact",
-            subdicts_skipped: 0,
-            subdicts_visited: 0,
-            cells_candidate: 0,
-            cells_full: 0,
-            cells_partial: 0,
-            subcells_reported: 0,
-            plans_built: 0,
-            plan_hits: 0,
-            cells_planned_full: 0,
-            cells_routed_planned: 0,
-            cells_routed_kd: 0,
-        }
-    }
-}
-
 impl QueryStats {
-    /// Accumulates another query's counters. The backend tag is sticky:
-    /// the accumulating side keeps its own attribution.
+    /// Accumulates another query's counters.
     pub fn merge(&mut self, other: &QueryStats) {
         self.subdicts_skipped += other.subdicts_skipped;
         self.subdicts_visited += other.subdicts_visited;

@@ -131,6 +131,14 @@ impl GridSpec {
         1u128.checked_shl(self.sub_bits()).unwrap_or(u128::MAX)
     }
 
+    /// The candidate-window reach `b = 1 + ⌈√d⌉`: two cells whose boxes
+    /// lie within ε of each other differ by at most `b` lattice steps in
+    /// every dimension (`(|δ|−1)·side ≤ ε` gives `|δ| ≤ 1 + √d`).
+    #[inline]
+    pub fn window_reach(&self) -> i64 {
+        1 + (self.dim as f64).sqrt().ceil() as i64
+    }
+
     /// Lattice coordinate of the cell containing `p`.
     pub fn cell_of(&self, p: &[f64]) -> CellCoord {
         debug_assert_eq!(p.len(), self.dim);

@@ -17,11 +17,11 @@
 //! coordinate the clustering never saw) falls back to every core cell
 //! whose box is within ε, still visited in coordinate order.
 
-use crate::patch::PatchSummary;
+use crate::patch::{stream_cells, DirtyCell, LabelRows, PatchSummary};
 use crate::ServeError;
 use rpdbscan_core::{CellExport, RpDbscanOutput};
 use rpdbscan_geom::{dist2, kernel, Dataset};
-use rpdbscan_grid::{CellCoord, CellDictionary, FxHashMap, GridSpec};
+use rpdbscan_grid::{for_each_in_box, CellCoord, CellDictionary, FxHashMap, GridSpec};
 use rpdbscan_stream::StreamingRpDbscan;
 use std::sync::Arc;
 
@@ -175,7 +175,8 @@ pub(crate) struct Shard {
     pub(crate) free: Vec<u32>,
     /// Generation that built or last patched this shard — equal to the
     /// index generation on patched shards, strictly older on shards
-    /// shared from a previous generation.
+    /// shared from a previous generation (0 for a shard shared from the
+    /// empty generation a full build patches).
     pub(crate) built: u64,
 }
 
@@ -195,8 +196,8 @@ pub(crate) struct LabelShard {
 impl CellRecord {
     /// Freezes one exported cell into a record, materialising the cell's
     /// sub-cells from `dict` into the SoA layout the classify kernel
-    /// consumes. The one record constructor: full builds from a batch
-    /// run or a stream, and incremental patches, all come through here.
+    /// consumes. The one record constructor, called by the shard patch
+    /// that every build goes through.
     /// `scratch` must hold `dim` slots.
     pub(crate) fn new(export: CellExport, dict: &CellDictionary, scratch: &mut [f64]) -> Self {
         let spec = dict.spec();
@@ -234,11 +235,6 @@ impl CellRecord {
 pub struct ServingIndex {
     pub(crate) spec: GridSpec,
     pub(crate) eps2: f64,
-    /// Density backend that produced the served clustering (recorded at
-    /// index build; always `exact` today since approximate backends are
-    /// rejected, but surfaced so deployments can attribute what they
-    /// serve).
-    pub(crate) backend: &'static str,
     /// Head generation counter, written first at construction.
     pub(crate) generation: u64,
     pub(crate) shards: Vec<Arc<Shard>>,
@@ -276,39 +272,6 @@ pub(crate) fn fnv64(vals: impl IntoIterator<Item = i64>) -> u64 {
     h
 }
 
-/// Cluster `c`'s stats row, growing `clusters` with empty rows up to it.
-pub(crate) fn cluster_entry(clusters: &mut Vec<ClusterStats>, c: u32) -> &mut ClusterStats {
-    while clusters.len() <= c as usize {
-        clusters.push(ClusterStats {
-            cluster: clusters.len() as u32,
-            points: 0,
-            core_points: 0,
-            core_cells: 0,
-        });
-    }
-    &mut clusters[c as usize]
-}
-
-/// Per-cluster summaries folded from every core cell's
-/// `(cluster, core points)` and every point's label, sized to the
-/// highest cluster id present. Folded over plain sequences, so the
-/// totals never depend on hash-map iteration order.
-pub(crate) fn fold_cluster_stats(
-    core_cells: impl IntoIterator<Item = (u32, usize)>,
-    point_labels: impl IntoIterator<Item = Option<u32>>,
-) -> Vec<ClusterStats> {
-    let mut clusters = Vec::new();
-    for (c, core_points) in core_cells {
-        let entry = cluster_entry(&mut clusters, c);
-        entry.core_cells += 1;
-        entry.core_points += core_points;
-    }
-    for c in point_labels.into_iter().flatten() {
-        cluster_entry(&mut clusters, c).points += 1;
-    }
-    clusters
-}
-
 /// Multiplicative hash routing a point id to its shard.
 pub(crate) fn shard_of_point(id: u32, num_shards: usize) -> usize {
     let h = u64::from(id).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -344,104 +307,55 @@ impl ServingIndex {
                 got: data.dim(),
             });
         }
-        let rows = stored
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (i as u32, l))
-            .collect();
-        Ok(Self::build(
-            dict,
-            output.stats.backend,
-            generation,
-            num_shards,
-            output.cells.export(data),
-            rows,
-        ))
+        let k = num_shards.max(1);
+        let mut cells: Vec<Vec<DirtyCell>> = vec![Vec::new(); k];
+        // The export is coordinate-sorted, so every shard's rows are too.
+        for export in output.cells.export(data) {
+            cells[shard_of_cell(&export.coord, k)].push((export.coord.clone(), Some(export)));
+        }
+        let rows = stored.iter().enumerate().map(|(i, &l)| (i as u32, l));
+        Ok(Self::from_empty(dict, generation, cells, rows))
     }
 
     /// Builds an index from the streaming clusterer's current epoch.
-    /// The index generation is the snapshot's epoch, so
+    /// The index generation is the stream's epoch, so
     /// [`IndexSlot::publish_if_newer`](crate::IndexSlot::publish_if_newer)
     /// can skip republishing unchanged epochs.
     pub fn from_stream(stream: &StreamingRpDbscan, num_shards: usize) -> Self {
-        let snap = stream.snapshot();
-        let rows: Vec<(u32, Option<u32>)> = snap
-            .ids
-            .iter()
-            .zip(snap.labels.labels().iter())
-            .map(|(id, &l)| (id.0, l))
-            .collect();
-        Self::build(
-            stream.dictionary(),
-            "exact",
-            snap.epoch(),
-            num_shards,
-            stream.export_cells(),
-            rows,
-        )
+        let dict = stream.dictionary();
+        // The stream's dictionary holds exactly its occupied cells.
+        let mut coords: Vec<&CellCoord> = dict.cells().iter().map(|c| &c.coord).collect();
+        coords.sort_unstable();
+        let cells = stream_cells(stream, coords, num_shards.max(1));
+        Self::from_empty(dict, stream.epoch(), cells, stream.export_label_rows())
     }
 
-    /// Assembles the sharded structure from per-cell exports (coordinate
-    /// order) over `dict` and point rows.
-    fn build(
+    /// A full build: the shard patch applied to an empty generation with
+    /// one shard per `cells` bucket, every cell dirty and every label
+    /// row given.
+    fn from_empty<D>(
         dict: &CellDictionary,
-        backend: &'static str,
         generation: u64,
-        num_shards: usize,
-        exports: Vec<CellExport>,
-        rows: Vec<(u32, Option<u32>)>,
-    ) -> Self {
-        let spec = dict.spec().clone();
-        let k = num_shards.max(1);
-        let dim = spec.dim();
-        let eps2 = spec.eps() * spec.eps();
-
-        let clusters = fold_cluster_stats(
-            exports
-                .iter()
-                .filter_map(|e| Some((e.cluster?, e.core_coords.len() / dim))),
-            rows.iter().map(|&(_, label)| label),
-        );
-
-        let mut shards: Vec<Shard> = (0..k).map(|_| Shard::default()).collect();
-        let mut scratch = vec![0.0; dim];
-        for export in exports {
-            let shard = &mut shards[shard_of_cell(&export.coord, k)];
-            shard
-                .cells
-                .insert(Arc::new(export.coord.clone()), shard.records.len() as u32);
-            let rec = CellRecord::new(export, dict, &mut scratch);
-            shard.records.push(Some(Arc::new(rec)));
-        }
-        for s in &mut shards {
-            s.built = generation;
-        }
-        let num_points = rows.len();
-        let mut label_shards: Vec<LabelShard> = (0..k).map(|_| LabelShard::default()).collect();
-        for (id, label) in rows {
-            label_shards[shard_of_point(id, k)].labels.insert(id, label);
-        }
-        for s in &mut label_shards {
-            s.built = generation;
-        }
-
-        Self {
-            spec,
-            eps2,
-            backend,
-            generation,
-            shards: shards.into_iter().map(Arc::new).collect(),
-            label_shards: label_shards.into_iter().map(Arc::new).collect(),
-            clusters,
-            num_points,
+        cells: Vec<D>,
+        rows: impl IntoIterator<Item = (u32, Option<u32>)>,
+    ) -> Self
+    where
+        D: IntoIterator<Item = DirtyCell> + Send,
+    {
+        let k = cells.len();
+        let spec = dict.spec();
+        let empty = Self {
+            spec: spec.clone(),
+            eps2: spec.eps() * spec.eps(),
+            generation: 0,
+            shards: vec![Arc::default(); k],
+            label_shards: vec![Arc::default(); k],
+            clusters: Vec::new(),
+            num_points: 0,
             patch: None,
-            generation_tail: generation,
-        }
-    }
-
-    /// Density backend that produced the served clustering.
-    pub fn backend(&self) -> &'static str {
-        self.backend
+            generation_tail: 0,
+        };
+        Self::apply_patch(&empty, dict, generation, cells, &LabelRows::full(rows, k)).0
     }
 
     /// The grid the index serves over.
@@ -534,7 +448,7 @@ impl ServingIndex {
     }
 
     /// Checks a query coordinate's shape.
-    fn validate(&self, q: &[f64]) -> Result<(), ServeError> {
+    pub(crate) fn validate(&self, q: &[f64]) -> Result<(), ServeError> {
         if q.len() != self.spec.dim() {
             return Err(ServeError::DimensionMismatch {
                 expected: self.spec.dim(),
@@ -661,40 +575,25 @@ impl ServingIndex {
     fn window_candidates(&self, coord: &CellCoord) -> Vec<CellRef> {
         let dim = self.spec.dim();
         let bound = self.eps2 * (1.0 + EPS_SLACK);
-        let b = 1 + (dim as f64).sqrt().ceil() as i64;
+        let b = self.spec.window_reach();
         let width = (2 * b + 1) as usize;
         let box_cost = width.checked_pow(dim as u32);
         let table_cost = self.num_cells();
         if box_cost.is_some_and(|c| c <= table_cost.saturating_mul(4)) {
-            // Enumerate offsets with dimension 0 as the outermost digit,
-            // so candidates come out in lattice-coordinate order.
+            // The box walk visits lattice points in coordinate order, so
+            // candidates come out sorted.
+            let lo: Vec<i64> = coord.coords().iter().map(|&c| c - b).collect();
+            let hi: Vec<i64> = coord.coords().iter().map(|&c| c + b).collect();
             let mut out = Vec::new();
-            let mut offs = vec![-b; dim];
-            let mut cand = Vec::with_capacity(dim);
-            loop {
-                cand.clear();
-                cand.extend(coord.coords().iter().zip(offs.iter()).map(|(&c, &o)| c + o));
-                let cc = CellCoord::new(cand.iter().copied());
+            for_each_in_box(&lo, &hi, |p| {
+                let cc = CellCoord::new(p.iter().copied());
                 if self.spec.cell_min_dist2(coord, &cc) <= bound {
                     if let Some(r) = self.find_cell(&cc) {
                         out.push(r);
                     }
                 }
-                // Increment the mixed-radix counter, last dimension
-                // fastest.
-                let mut d = dim;
-                loop {
-                    if d == 0 {
-                        return out;
-                    }
-                    d -= 1;
-                    if offs[d] < b {
-                        offs[d] += 1;
-                        break;
-                    }
-                    offs[d] = -b;
-                }
-            }
+            });
+            out
         } else {
             // High dimension: the window would dwarf the table — scan
             // every record instead and sort by coordinate.
@@ -886,32 +785,15 @@ impl ServingIndex {
         let halo_feasible = 3usize.checked_pow(dim as u32).is_some_and(|w| w <= 1 << 12);
         if out.len() < budget && halo_feasible {
             let mut halo: std::collections::BTreeSet<CellCoord> = std::collections::BTreeSet::new();
-            let mut cand = Vec::with_capacity(dim);
             for c in &occupied {
-                let mut offs = vec![-1i64; dim];
-                loop {
-                    cand.clear();
-                    cand.extend(c.coords().iter().zip(offs.iter()).map(|(&x, &o)| x + o));
-                    let cc = CellCoord::new(cand.iter().copied());
+                let lo: Vec<i64> = c.coords().iter().map(|&x| x - 1).collect();
+                let hi: Vec<i64> = c.coords().iter().map(|&x| x + 1).collect();
+                for_each_in_box(&lo, &hi, |p| {
+                    let cc = CellCoord::new(p.iter().copied());
                     if self.find_cell(&cc).is_none() {
                         halo.insert(cc);
                     }
-                    let mut d = dim;
-                    loop {
-                        if d == 0 {
-                            break;
-                        }
-                        d -= 1;
-                        if offs[d] < 1 {
-                            offs[d] += 1;
-                            break;
-                        }
-                        offs[d] = -1;
-                    }
-                    if offs.iter().all(|&o| o == -1) {
-                        break;
-                    }
-                }
+                });
             }
             for c in halo {
                 if out.len() >= budget {

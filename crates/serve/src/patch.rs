@@ -1,8 +1,17 @@
-//! Incremental publish: copy-on-write shard patching.
+//! Copy-on-write shard patching: the one way shards are built.
 //!
-//! [`ServingIndex::patch_from_stream`] builds the next index generation
-//! from the previous one plus the stream's per-epoch delta, instead of
-//! rebuilding every shard from a full export. The dirty set is
+//! [`ServingIndex::apply_patch`] builds the next index generation from a
+//! base generation plus each shard's dirty cells and label rows. Shards
+//! none of whose cells are dirty are `Arc`-shared with the base
+//! wholesale; a patched shard clones its row table (`Arc` pointer
+//! copies) and rebuilds only the dirty rows, keeping every surviving
+//! cell's row number stable.
+//!
+//! A full build ([`ServingIndex::from_batch`],
+//! [`ServingIndex::from_stream`]) is this patch applied to an empty
+//! generation, with every exported cell dirty and every label row
+//! given. [`ServingIndex::patch_from_stream`] applies it to a previous
+//! generation, with the dirty set
 //! [`StreamingRpDbscan::dirty_cells_since`]: every cell whose exported
 //! record changed in any epoch after the base generation — structural
 //! changes (membership, core set, predecessors, sub-cell summaries),
@@ -10,21 +19,18 @@
 //! stream's sticky renumbering stamps exactly the ids that moved, so no
 //! per-record rescan is needed here).
 //!
-//! Shards none of whose cells are dirty are `Arc`-shared with the base
-//! generation wholesale; a patched shard clones its row table (`Arc`
-//! pointer copies) and rebuilds only the dirty rows, keeping every
-//! surviving cell's row number stable. Row stability is what makes the
-//! plan-cache carry-over sound: a [`CellPlan`](crate::CellPlan) only
-//! references cells within ε of its home cell, so a plan whose ε-window
-//! contains no dirty cell resolves against the patched index exactly as
-//! it did against the base — the [`PatchSummary`] exports that window
-//! (`invalidates`) and the server carries everything outside it.
+//! Row stability is what makes the plan-cache carry-over sound: a
+//! [`CellPlan`](crate::CellPlan) only references cells within ε of its
+//! home cell, so a plan whose ε-window contains no dirty cell resolves
+//! against the patched index exactly as it did against the base — the
+//! [`PatchSummary`] exports that window (`invalidates`) and the server
+//! carries everything outside it.
 
-use crate::index::{cluster_entry, fnv64, fold_cluster_stats, shard_of_cell, shard_of_point};
-use crate::index::{CellRecord, LabelShard};
-use crate::index::{ServingIndex, Shard};
+use crate::index::{fnv64, shard_of_cell, shard_of_point};
+use crate::index::{CellRecord, ClusterStats, LabelShard, ServingIndex, Shard};
 use crate::ServeError;
-use rpdbscan_grid::{CellCoord, FxHashMap, FxHashSet, GridSpec};
+use rpdbscan_core::CellExport;
+use rpdbscan_grid::{for_each_in_box, CellCoord, CellDictionary, FxHashMap, FxHashSet, GridSpec};
 use rpdbscan_stream::StreamingRpDbscan;
 use std::sync::Arc;
 
@@ -39,17 +45,25 @@ pub struct PatchSummary {
     shared_label_shards: usize,
     rebuilt_cells: usize,
     removed_cells: usize,
-    /// Hashes of every *super-cell* (a `(b+1)`-cell-wide lattice block,
-    /// `b` the candidate-window offset bound) overlapping the ε-window
-    /// of a dirty cell: a conservative, cache-resident stand-in for the
-    /// exact invalidation set. A plan is invalidated when its home
-    /// cell's super-cell is marked — possibly a false positive (the
-    /// super-cell is coarser than ε, and a 64-bit hash can collide),
-    /// never a false negative, so carrying the rest is sound. `None`
-    /// when even the super enumeration was infeasible (high dimension ×
-    /// many dirty cells), in which case every plan counts as
+    /// The super-cells overlapping the ε-window of a dirty cell: a
+    /// conservative, cache-resident stand-in for the exact invalidation
+    /// set. `None` when even the super enumeration was infeasible (high
+    /// dimension × many dirty cells), in which case every plan counts as
     /// invalidated.
-    invalid: Option<FxHashSet<u64>>,
+    invalid: Option<SuperCells>,
+}
+
+/// Marked *super-cells*: `(b+1)`-cell-wide lattice blocks, `b` the
+/// candidate-window reach. A plan is invalidated when its home cell's
+/// super-cell is marked — possibly a false positive (the super-cell is
+/// coarser than ε, and a 64-bit hash can collide), never a false
+/// negative, so carrying the rest is sound.
+#[derive(Debug, Clone)]
+struct SuperCells {
+    /// Super-cell width in lattice cells.
+    width: i64,
+    /// FNV hashes of the marked super-cell coordinates.
+    marked: FxHashSet<u64>,
 }
 
 impl PatchSummary {
@@ -94,8 +108,8 @@ impl PatchSummary {
     /// and true for everything when the window was infeasible.
     pub fn invalidates(&self, coord: &CellCoord) -> bool {
         self.invalid.as_ref().is_none_or(|s| {
-            let w = super_width(coord.coords().len());
-            s.contains(&fnv64(coord.coords().iter().map(|&c| c.div_euclid(w))))
+            let super_coord = coord.coords().iter().map(|&c| c.div_euclid(s.width));
+            s.marked.contains(&fnv64(super_coord))
         })
     }
 
@@ -106,25 +120,106 @@ impl PatchSummary {
     }
 }
 
+/// Cluster `c`'s stats row, growing `clusters` with empty rows up to it.
+fn cluster_entry(clusters: &mut Vec<ClusterStats>, c: u32) -> &mut ClusterStats {
+    while clusters.len() <= c as usize {
+        clusters.push(ClusterStats {
+            cluster: clusters.len() as u32,
+            points: 0,
+            core_points: 0,
+            core_cells: 0,
+        });
+    }
+    &mut clusters[c as usize]
+}
+
+/// Per-cluster summaries folded from every core cell's
+/// `(cluster, core points)` and every point's label, sized to the
+/// highest cluster id present. Folded over plain sequences, so the
+/// totals never depend on hash-map iteration order.
+fn fold_cluster_stats(
+    core_cells: impl IntoIterator<Item = (u32, usize)>,
+    point_labels: impl IntoIterator<Item = Option<u32>>,
+) -> Vec<ClusterStats> {
+    let mut clusters = Vec::new();
+    for (c, core_points) in core_cells {
+        let entry = cluster_entry(&mut clusters, c);
+        entry.core_cells += 1;
+        entry.core_points += core_points;
+    }
+    for c in point_labels.into_iter().flatten() {
+        cluster_entry(&mut clusters, c).points += 1;
+    }
+    clusters
+}
+
+/// One shard's dirty cells: `(coord, export)` items, the export `None`
+/// for a cell that emptied.
+pub(crate) type DirtyCell = (CellCoord, Option<CellExport>);
+
+/// The label half of a patch, bucketed by label shard.
+pub(crate) enum LabelRows {
+    /// Only the rows that can have moved since the base: per shard, the
+    /// `(id, label)` updates and the ids whose rows are dropped.
+    Delta {
+        upd: Vec<Vec<(u32, Option<u32>)>>,
+        del: Vec<Vec<u32>>,
+    },
+    /// Every row of the new generation, per shard.
+    Full(Vec<Vec<(u32, Option<u32>)>>),
+}
+
+impl LabelRows {
+    /// Buckets every row of a generation over `k` label shards.
+    pub(crate) fn full(rows: impl IntoIterator<Item = (u32, Option<u32>)>, k: usize) -> Self {
+        let mut by_shard = vec![Vec::new(); k];
+        for (id, l) in rows {
+            by_shard[shard_of_point(id, k)].push((id, l));
+        }
+        LabelRows::Full(by_shard)
+    }
+}
+
+/// The stream's cells at `coords` bucketed over `k` cell shards, each
+/// exported lazily — by its shard's worker. Sorted `coords` keep every
+/// shard's rows in coordinate order.
+pub(crate) fn stream_cells<'a>(
+    stream: &'a StreamingRpDbscan,
+    coords: impl IntoIterator<Item = &'a CellCoord>,
+    k: usize,
+) -> Vec<impl Iterator<Item = DirtyCell> + Send + 'a> {
+    let mut by_shard: Vec<Vec<&CellCoord>> = vec![Vec::new(); k];
+    for c in coords {
+        by_shard[shard_of_cell(c, k)].push(c);
+    }
+    by_shard
+        .into_iter()
+        .map(move |cs| {
+            cs.into_iter()
+                .map(move |c| (c.clone(), stream.export_cell(c)))
+        })
+        .collect()
+}
+
 /// Rebuilds the dirty rows of one shard on top of the base generation's
 /// row table. Everything untouched is an `Arc` pointer copy; surviving
 /// cells keep their rows, emptied cells leave tombstones on the free
-/// list, new cells fill freed rows first. Returns the patched shard and
-/// its `(rebuilt, removed)` row counts; every record swap's cluster
-/// contribution (core cells and core points, signed) is appended to
-/// `deltas` so the publish can adjust the base cluster stats instead of
-/// re-folding every record.
+/// list, new cells fill freed rows first — the one place shard rows are
+/// inserted. Returns the patched shard and its `(rebuilt, removed)` row
+/// counts; every record swap's cluster contribution (core cells and
+/// core points, signed) is appended to `deltas` so a patch can adjust
+/// the base cluster stats instead of re-folding every record. `scratch`
+/// must hold `dim` slots.
 // lint:hot
 fn patch_shard(
     base: &Shard,
-    dirty: &[&CellCoord],
-    stream: &StreamingRpDbscan,
-    spec: &GridSpec,
+    dirty: impl Iterator<Item = DirtyCell>,
+    dict: &CellDictionary,
     generation: u64,
     scratch: &mut [f64],
     deltas: &mut Vec<(u32, i64, i64)>,
 ) -> (Shard, usize, usize) {
-    let dim = spec.dim();
+    let dim = dict.spec().dim();
     let contribution = |rec: &CellRecord, sign: i64| {
         rec.cluster
             .map(|c| (c, sign, sign * (rec.core.len() / dim) as i64))
@@ -134,14 +229,13 @@ fn patch_shard(
     let mut free = base.free.clone();
     let mut rebuilt = 0usize;
     let mut removed = 0usize;
-    let dict = stream.dictionary();
-    for &coord in dirty {
-        match stream.export_cell(coord) {
+    for (coord, export) in dirty {
+        match export {
             Some(export) => {
                 rebuilt += 1;
                 let rec = Arc::new(CellRecord::new(export, dict, scratch));
                 deltas.extend(contribution(&rec, 1));
-                match cells.get(coord) {
+                match cells.get(&coord) {
                     Some(&row) => {
                         if let Some(old) = &records[row as usize] {
                             deltas.extend(contribution(old, -1));
@@ -159,12 +253,12 @@ fn patch_shard(
                                 (records.len() - 1) as u32
                             }
                         };
-                        cells.insert(Arc::new(coord.clone()), row);
+                        cells.insert(Arc::new(coord), row);
                     }
                 }
             }
             None => {
-                if let Some(row) = cells.remove(coord) {
+                if let Some(row) = cells.remove(&coord) {
                     removed += 1;
                     if let Some(old) = &records[row as usize] {
                         deltas.extend(contribution(old, -1));
@@ -187,11 +281,78 @@ fn patch_shard(
     )
 }
 
+/// Patches label shard `s` of `base` with its rows. Returns the
+/// (possibly shared) shard, whether it was rebuilt, and the
+/// `(cluster, Δpoints)` of every effective row change on the delta path
+/// (the full path re-folds the stats instead).
+fn patch_labels(
+    base: &Arc<LabelShard>,
+    rows: &LabelRows,
+    s: usize,
+    generation: u64,
+) -> (Arc<LabelShard>, bool, Vec<(u32, i64)>) {
+    let mut deltas: Vec<(u32, i64)> = Vec::new();
+    let labels = match rows {
+        LabelRows::Delta { upd, del } => {
+            let (upd, del) = (&upd[s], &del[s]);
+            let mut changed = false;
+            for (id, l) in upd {
+                let old = base.labels.get(id);
+                if old != Some(l) {
+                    changed = true;
+                    if let Some(Some(c)) = old {
+                        deltas.push((*c, -1));
+                    }
+                    if let Some(c) = l {
+                        deltas.push((*c, 1));
+                    }
+                }
+            }
+            for id in del {
+                if let Some(Some(c)) = base.labels.get(id) {
+                    deltas.push((*c, -1));
+                }
+                changed |= base.labels.contains_key(id);
+            }
+            if !changed {
+                return (Arc::clone(base), false, deltas);
+            }
+            let mut labels = base.labels.clone();
+            for &(id, l) in upd {
+                labels.insert(id, l);
+            }
+            for id in del {
+                labels.remove(id);
+            }
+            labels
+        }
+        LabelRows::Full(rows) => {
+            // Share iff every row the shard would hold matches the
+            // base's map exactly.
+            let mine = &rows[s];
+            let unchanged = mine.len() == base.labels.len()
+                && mine
+                    .iter()
+                    .all(|(id, l)| base.labels.get(id).is_some_and(|p| p == l));
+            if unchanged {
+                return (Arc::clone(base), false, deltas);
+            }
+            mine.iter().copied().collect()
+        }
+    };
+    let shard = LabelShard {
+        labels,
+        built: generation,
+    };
+    (Arc::new(shard), true, deltas)
+}
+
 /// One shard's contribution to a patched generation: the (possibly
 /// shared) cell and label shards plus the signed cluster-stat deltas
 /// the publish folds into the base totals.
 struct ShardPatch {
     shard: Arc<Shard>,
+    patched: bool,
     rebuilt: usize,
     removed: usize,
     /// `(cluster, Δcore_cells, Δcore_points)` per record swap.
@@ -200,13 +361,6 @@ struct ShardPatch {
     label_patched: bool,
     /// `(cluster, Δpoints)` per effective label row change.
     label_deltas: Vec<(u32, i64)>,
-}
-
-/// Super-cell width: `b + 1` lattice cells per dimension, where
-/// `b = 1 + ⌈√d⌉` is the candidate-window offset bound (a cell within ε
-/// of another is at most `b` lattice steps away per dimension).
-fn super_width(dim: usize) -> i64 {
-    2 + (dim as f64).sqrt().ceil() as i64
 }
 
 /// Hashes of every super-cell overlapping the `±b` lattice window of a
@@ -221,41 +375,189 @@ fn super_width(dim: usize) -> i64 {
 /// small enough to live in cache, and coarseness only ever
 /// over-invalidates — the publish-time warm sweep rebuilds the few extra
 /// plans, correctness never depends on the window being tight.
-fn invalidated_supers(spec: &GridSpec, dirty: &[CellCoord]) -> Option<FxHashSet<u64>> {
+fn invalidated_supers(spec: &GridSpec, dirty: &[CellCoord]) -> Option<SuperCells> {
     let dim = spec.dim();
-    let b = 1 + (dim as f64).sqrt().ceil() as i64;
-    let w = super_width(dim);
+    let b = spec.window_reach();
+    let width = b + 1;
     let per_cell = 3i64.checked_pow(dim as u32)?;
     let total = per_cell.checked_mul(dirty.len() as i64)?;
     if total > 1 << 20 {
         return None;
     }
-    let mut out = FxHashSet::default();
+    let mut marked = FxHashSet::default();
     let mut lo = vec![0i64; dim];
     let mut hi = vec![0i64; dim];
-    let mut cur = vec![0i64; dim];
     for c in dirty {
         for (i, &x) in c.coords().iter().enumerate() {
-            lo[i] = (x - b).div_euclid(w);
-            hi[i] = (x + b).div_euclid(w);
+            lo[i] = (x - b).div_euclid(width);
+            hi[i] = (x + b).div_euclid(width);
         }
-        cur.copy_from_slice(&lo);
-        'enumerate: loop {
-            out.insert(fnv64(cur.iter().copied()));
-            for i in 0..dim {
-                if cur[i] < hi[i] {
-                    cur[i] += 1;
-                    continue 'enumerate;
-                }
-                cur[i] = lo[i];
-            }
-            break;
-        }
+        for_each_in_box(&lo, &hi, |p| {
+            marked.insert(fnv64(p.iter().copied()));
+        });
     }
-    Some(out)
+    Some(SuperCells { width, marked })
 }
 
 impl ServingIndex {
+    /// Applies one patch to `base`: shard `s` rebuilds the records of
+    /// `cells[s]` and its label rows from `rows`; shards with nothing to
+    /// do are `Arc`-shared with `base`. Returns the new generation, with
+    /// no patch summary attached, and the summary of what changed, with
+    /// no invalidation window — the caller decides whether to publish
+    /// either.
+    ///
+    /// Per-shard patching is embarrassingly parallel — cells and label
+    /// rows are hash-partitioned — and at small batch fractions the
+    /// publish is latency-critical, so on multicore hosts each shard
+    /// gets a scoped worker (which also runs the shard's lazy exports).
+    /// Results are joined in shard order, making the assembled index
+    /// identical to a serial pass.
+    pub(crate) fn apply_patch<D>(
+        base: &ServingIndex,
+        dict: &CellDictionary,
+        generation: u64,
+        cells: Vec<D>,
+        rows: &LabelRows,
+    ) -> (Self, PatchSummary)
+    where
+        D: IntoIterator<Item = DirtyCell> + Send,
+    {
+        let k = base.shards.len();
+        debug_assert_eq!(cells.len(), k);
+        let worker = |s: usize, dirty: D| -> ShardPatch {
+            let mut dirty = dirty.into_iter().peekable();
+            let mut record_deltas: Vec<(u32, i64, i64)> = Vec::new();
+            let (shard, patched, rebuilt, removed) = if dirty.peek().is_none() {
+                (Arc::clone(&base.shards[s]), false, 0, 0)
+            } else {
+                let mut scratch = vec![0.0; dict.spec().dim()];
+                let (sh, rb, rm) = patch_shard(
+                    &base.shards[s],
+                    dirty,
+                    dict,
+                    generation,
+                    &mut scratch,
+                    &mut record_deltas,
+                );
+                (Arc::new(sh), true, rb, rm)
+            };
+            let (label, label_patched, label_deltas) =
+                patch_labels(&base.label_shards[s], rows, s, generation);
+            ShardPatch {
+                shard,
+                patched,
+                rebuilt,
+                removed,
+                record_deltas,
+                label,
+                label_patched,
+                label_deltas,
+            }
+        };
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let results: Vec<ShardPatch> = if cores > 1 && k > 1 {
+            // lint:allow(thread-discipline): shard workers are pure functions over frozen inputs joined before return; the publish path must stay runnable without an engine instance
+            std::thread::scope(|sc| {
+                let worker = &worker;
+                let handles: Vec<_> = cells
+                    .into_iter()
+                    .enumerate()
+                    .map(|(s, dirty)| sc.spawn(move || worker(s, dirty)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard patch worker panicked")) // lint:allow(panic-safety): workers only read frozen state and build new records; a panic there is a bug worth surfacing, not absorbing
+                    .collect()
+            })
+        } else {
+            cells
+                .into_iter()
+                .enumerate()
+                .map(|(s, dirty)| worker(s, dirty))
+                .collect()
+        };
+
+        let mut shards = Vec::with_capacity(k);
+        let mut label_shards = Vec::with_capacity(k);
+        let mut patched_shards = 0usize;
+        let mut rebuilt_cells = 0usize;
+        let mut removed_cells = 0usize;
+        let mut patched_label_shards = 0usize;
+        let mut record_deltas: Vec<(u32, i64, i64)> = Vec::new();
+        let mut label_deltas: Vec<(u32, i64)> = Vec::new();
+        for out in results {
+            patched_shards += usize::from(out.patched);
+            rebuilt_cells += out.rebuilt;
+            removed_cells += out.removed;
+            record_deltas.extend(out.record_deltas);
+            shards.push(out.shard);
+            patched_label_shards += usize::from(out.label_patched);
+            label_deltas.extend(out.label_deltas);
+            label_shards.push(out.label);
+        }
+
+        let dim = base.spec.dim();
+        let clusters = match rows {
+            LabelRows::Delta { .. } => {
+                // Adjust the base stats by the signed per-record and
+                // per-row deltas — integer adds, so the totals land
+                // exactly where a from-scratch fold would.
+                let mut clusters = base.clusters.clone();
+                for (c, d_cells, d_points) in record_deltas {
+                    let entry = cluster_entry(&mut clusters, c);
+                    entry.core_cells = (entry.core_cells as i64 + d_cells) as usize;
+                    entry.core_points = (entry.core_points as i64 + d_points) as usize;
+                }
+                for (c, d) in label_deltas {
+                    let entry = cluster_entry(&mut clusters, c);
+                    entry.points = (entry.points as i64 + d) as usize;
+                }
+                // A fold sizes the vector to the highest id present in
+                // any record or row; a vanished tail cluster has all-zero
+                // counts, so trimming zero tails reproduces that bound.
+                while clusters
+                    .last()
+                    .is_some_and(|c| c.points == 0 && c.core_points == 0 && c.core_cells == 0)
+                {
+                    clusters.pop();
+                }
+                clusters
+            }
+            LabelRows::Full(rows) => fold_cluster_stats(
+                shards
+                    .iter()
+                    .flat_map(|s| s.records.iter().flatten())
+                    .filter_map(|r| Some((r.cluster?, r.core.len() / dim))),
+                rows.iter().flatten().map(|&(_, label)| label),
+            ),
+        };
+        let num_points = label_shards.iter().map(|l| l.labels.len()).sum();
+
+        let summary = PatchSummary {
+            base_generation: base.generation,
+            patched_shards,
+            shared_shards: k - patched_shards,
+            patched_label_shards,
+            shared_label_shards: k - patched_label_shards,
+            rebuilt_cells,
+            removed_cells,
+            invalid: None,
+        };
+        let index = Self {
+            spec: base.spec.clone(),
+            eps2: base.eps2,
+            generation,
+            shards,
+            label_shards,
+            clusters,
+            num_points,
+            patch: None,
+            generation_tail: generation,
+        };
+        (index, summary)
+    }
+
     /// Builds the stream's current epoch as an incremental patch of
     /// `prev` instead of a full rebuild: only the cells that changed
     /// since `prev`'s generation are re-exported and re-frozen; every
@@ -299,12 +601,7 @@ impl ServingIndex {
         let mut dirty = stream.dirty_cells_since(prev.generation);
         dirty.sort_unstable();
         dirty.dedup();
-
         let k = prev.shards.len();
-        let mut dirty_by_shard: Vec<Vec<&CellCoord>> = vec![Vec::new(); k];
-        for c in &dirty {
-            dirty_by_shard[shard_of_cell(c, k)].push(c);
-        }
 
         // Label delta: the fast path patches the base label maps with
         // only the rows that can have moved — points in dirty cells,
@@ -312,7 +609,7 @@ impl ServingIndex {
         // border-label moves, and removed slots. When the stream's
         // per-epoch deltas no longer reach back to the base generation,
         // fall back to a full row export compared shard-by-shard.
-        let label_delta = match (
+        let rows = match (
             stream.removed_since(prev.generation),
             stream.label_moves_since(prev.generation),
         ) {
@@ -330,7 +627,8 @@ impl ServingIndex {
                             .or_insert_with(|| stream.cell_cluster(winner));
                     }
                 }
-                let mut deletions: Vec<u32> = Vec::new();
+                let mut upd = vec![Vec::new(); k];
+                let mut del = vec![Vec::new(); k];
                 for p in moves.into_iter().chain(removed) {
                     if let std::collections::hash_map::Entry::Vacant(e) = updates.entry(p) {
                         match stream.label_of_point(p) {
@@ -341,230 +639,25 @@ impl ServingIndex {
                             // a border move whose point was since
                             // removed. Dropping the row is right for
                             // both (removing an absent key is a no-op).
-                            None => deletions.push(p),
+                            None => del[shard_of_point(p, k)].push(p),
                         }
                     }
                 }
-                Some((updates, deletions))
-            }
-            _ => None,
-        };
-        let fast = label_delta.is_some();
-        let mut upd_by_shard: Vec<Vec<(u32, Option<u32>)>> = vec![Vec::new(); k];
-        let mut del_by_shard: Vec<Vec<u32>> = vec![Vec::new(); k];
-        let mut rows_by_shard: Vec<Vec<(u32, Option<u32>)>> = vec![Vec::new(); k];
-        match label_delta {
-            Some((updates, deletions)) => {
                 // lint:allow(unordered-iter): per-shard update lists feed id-keyed maps and signed stat deltas, so order is immaterial
                 for (id, l) in updates {
-                    upd_by_shard[shard_of_point(id, k)].push((id, l));
+                    upd[shard_of_point(id, k)].push((id, l));
                 }
-                for id in deletions {
-                    del_by_shard[shard_of_point(id, k)].push(id);
-                }
+                LabelRows::Delta { upd, del }
             }
-            None => {
-                for (id, l) in stream.export_label_rows() {
-                    rows_by_shard[shard_of_point(id, k)].push((id, l));
-                }
-            }
-        }
-
-        // Per-shard patching is embarrassingly parallel — cells and
-        // label rows are hash-partitioned — and at small batch fractions
-        // the publish is latency-critical, so on multicore hosts each
-        // shard gets a scoped worker. Results are joined in shard order,
-        // making the assembled index identical to a serial pass.
-        let worker = |s: usize| -> ShardPatch {
-            let base = &prev.shards[s];
-            let mut record_deltas: Vec<(u32, i64, i64)> = Vec::new();
-            let (shard, rebuilt, removed) = if dirty_by_shard[s].is_empty() {
-                (Arc::clone(base), 0, 0)
-            } else {
-                let mut scratch = vec![0.0; spec.dim()];
-                let (sh, rb, rm) = patch_shard(
-                    base,
-                    &dirty_by_shard[s],
-                    stream,
-                    spec,
-                    generation,
-                    &mut scratch,
-                    &mut record_deltas,
-                );
-                (Arc::new(sh), rb, rm)
-            };
-            let lbase = &prev.label_shards[s];
-            let mut label_deltas: Vec<(u32, i64)> = Vec::new();
-            let (label, label_patched) = if fast {
-                let upd = &upd_by_shard[s];
-                let del = &del_by_shard[s];
-                let mut changed = false;
-                for (id, l) in upd {
-                    let old = lbase.labels.get(id);
-                    if old != Some(l) {
-                        changed = true;
-                        if let Some(Some(c)) = old {
-                            label_deltas.push((*c, -1));
-                        }
-                        if let Some(c) = l {
-                            label_deltas.push((*c, 1));
-                        }
-                    }
-                }
-                for id in del {
-                    if let Some(Some(c)) = lbase.labels.get(id) {
-                        label_deltas.push((*c, -1));
-                    }
-                    changed |= lbase.labels.contains_key(id);
-                }
-                if !changed {
-                    (Arc::clone(lbase), false)
-                } else {
-                    let mut labels = lbase.labels.clone();
-                    for &(id, l) in upd {
-                        labels.insert(id, l);
-                    }
-                    for id in del {
-                        labels.remove(id);
-                    }
-                    (
-                        Arc::new(LabelShard {
-                            labels,
-                            built: generation,
-                        }),
-                        true,
-                    )
-                }
-            } else {
-                // Fallback: share iff every row the shard would hold
-                // matches the base's map exactly.
-                let mine = &rows_by_shard[s];
-                let unchanged = mine.len() == lbase.labels.len()
-                    && mine
-                        .iter()
-                        .all(|(id, l)| lbase.labels.get(id).is_some_and(|p| p == l));
-                if unchanged {
-                    (Arc::clone(lbase), false)
-                } else {
-                    let labels: FxHashMap<u32, Option<u32>> = mine.iter().copied().collect();
-                    (
-                        Arc::new(LabelShard {
-                            labels,
-                            built: generation,
-                        }),
-                        true,
-                    )
-                }
-            };
-            ShardPatch {
-                shard,
-                rebuilt,
-                removed,
-                record_deltas,
-                label,
-                label_patched,
-                label_deltas,
-            }
-        };
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let results: Vec<ShardPatch> = if cores > 1 && k > 1 {
-            // lint:allow(thread-discipline): shard workers are pure functions over frozen inputs joined before return; the publish path must stay runnable without an engine instance
-            std::thread::scope(|sc| {
-                let worker = &worker;
-                let handles: Vec<_> = (0..k).map(|s| sc.spawn(move || worker(s))).collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard patch worker panicked")) // lint:allow(panic-safety): workers only read frozen state and build new records; a panic there is a bug worth surfacing, not absorbing
-                    .collect()
-            })
-        } else {
-            (0..k).map(worker).collect()
+            _ => LabelRows::full(stream.export_label_rows(), k),
         };
 
-        let mut shards = Vec::with_capacity(k);
-        let mut label_shards = Vec::with_capacity(k);
-        let mut patched_shards = 0usize;
-        let mut rebuilt_cells = 0usize;
-        let mut removed_cells = 0usize;
-        let mut patched_label_shards = 0usize;
-        let mut record_deltas: Vec<(u32, i64, i64)> = Vec::new();
-        let mut label_deltas: Vec<(u32, i64)> = Vec::new();
-        for (s, out) in results.into_iter().enumerate() {
-            if !dirty_by_shard[s].is_empty() {
-                patched_shards += 1;
-            }
-            rebuilt_cells += out.rebuilt;
-            removed_cells += out.removed;
-            record_deltas.extend(out.record_deltas);
-            shards.push(out.shard);
-            if out.label_patched {
-                patched_label_shards += 1;
-            }
-            label_deltas.extend(out.label_deltas);
-            label_shards.push(out.label);
-        }
-
-        let dim = spec.dim();
-        let clusters = if fast {
-            // Adjust the base stats by the signed per-record and
-            // per-row deltas — integer adds, so the totals land exactly
-            // where a from-scratch fold would.
-            let mut clusters = prev.clusters.clone();
-            for (c, d_cells, d_points) in record_deltas {
-                let entry = cluster_entry(&mut clusters, c);
-                entry.core_cells = (entry.core_cells as i64 + d_cells) as usize;
-                entry.core_points = (entry.core_points as i64 + d_points) as usize;
-            }
-            for (c, d) in label_deltas {
-                let entry = cluster_entry(&mut clusters, c);
-                entry.points = (entry.points as i64 + d) as usize;
-            }
-            // A full build sizes the vector to the highest id present in
-            // any record or row; a vanished tail cluster has all-zero
-            // counts, so trimming zero tails reproduces that bound.
-            while clusters
-                .last()
-                .is_some_and(|c| c.points == 0 && c.core_points == 0 && c.core_cells == 0)
-            {
-                clusters.pop();
-            }
-            clusters
-        } else {
-            // Fallback: re-fold from the assembled shards and rows,
-            // exactly as the full build does.
-            fold_cluster_stats(
-                shards
-                    .iter()
-                    .flat_map(|s| s.records.iter().flatten())
-                    .filter_map(|r| Some((r.cluster?, r.core.len() / dim))),
-                rows_by_shard.iter().flatten().map(|&(_, label)| label),
-            )
-        };
-        let num_points = label_shards.iter().map(|l| l.labels.len()).sum();
-
-        let summary = PatchSummary {
-            base_generation: prev.generation,
-            patched_shards,
-            shared_shards: k - patched_shards,
-            patched_label_shards,
-            shared_label_shards: k - patched_label_shards,
-            rebuilt_cells,
-            removed_cells,
-            invalid: invalidated_supers(spec, &dirty),
-        };
-
-        Ok(Self {
-            spec: spec.clone(),
-            eps2: prev.eps2,
-            backend: prev.backend,
-            generation,
-            shards,
-            label_shards,
-            clusters,
-            num_points,
-            patch: Some(summary),
-            generation_tail: generation,
-        })
+        let cells = stream_cells(stream, &dirty, k);
+        let (mut index, mut summary) =
+            Self::apply_patch(prev, stream.dictionary(), generation, cells, &rows);
+        summary.invalid = invalidated_supers(spec, &dirty);
+        index.patch = Some(summary);
+        Ok(index)
     }
 }
 

@@ -180,20 +180,6 @@ fn gather_plan(
     plan
 }
 
-/// Submit-time shape check for classify coordinates.
-fn validate_query(index: &ServingIndex, q: &[f64]) -> Result<(), ServeError> {
-    if q.len() != index.dim() {
-        return Err(ServeError::DimensionMismatch {
-            expected: index.dim(),
-            got: q.len(),
-        });
-    }
-    if q.iter().any(|v| !v.is_finite()) {
-        return Err(ServeError::NonFinite);
-    }
-    Ok(())
-}
-
 impl Server {
     /// A server initially publishing `index`, executing on `engine`.
     pub fn new(engine: Engine, index: Arc<ServingIndex>, config: ServerConfig) -> Self {
@@ -310,7 +296,7 @@ impl Server {
     /// so malformed requests fail at admission, not mid-batch.
     pub fn submit(&self, req: Request) -> Result<u64, ServeError> {
         if let Request::Classify(q) = &req {
-            validate_query(&self.slot.load(), q)?;
+            self.slot.load().validate(q)?;
         }
         let ticket = {
             let mut queue = self.queue.lock().unwrap_or_else(|p| p.into_inner());

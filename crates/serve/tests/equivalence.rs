@@ -56,9 +56,10 @@ fn classify_matches_batch_labels_exactly() {
             let params = RpDbscanParams::new(1.0, 5).with_rho(rho);
             let out = RpDbscan::new(params).unwrap().run_local(&data).unwrap();
             assert!(out.clustering.num_clusters() >= 1, "dim={dim} rho={rho}");
-            for shards in [1usize, 4] {
+            for shards in [0usize, 1, 4] {
                 let index = ServingIndex::from_batch(&data, &out, shards, 7).unwrap();
-                assert_eq!(index.num_shards(), shards);
+                // Zero shards are served as one.
+                assert_eq!(index.num_shards(), shards.max(1));
                 assert_eq!(index.num_points(), data.len());
                 for i in 0..data.len() {
                     let stored = out.clustering.labels()[i];
@@ -209,10 +210,13 @@ fn cluster_stats_are_consistent_with_labels() {
 /// results, stats, and the shard-generation invariant — across dims,
 /// shard counts, and a churn mix of inserts and removes (so the
 /// incremental label path sees removals, border moves, and slot reuse).
+/// A fresh build is itself a patch (of an empty generation), so labels
+/// are also pinned to the stream's own snapshot and classify to the
+/// scalar oracle, neither of which shares the patch code.
 #[test]
 fn patched_generations_read_bit_identical_to_fresh_builds() {
     for dim in [1usize, 3] {
-        for shards in [1usize, 4] {
+        for shards in [1usize, 3, 4] {
             let params = RpDbscanParams::new(1.0, 4);
             let mut s = StreamingRpDbscan::new(dim, params).unwrap();
             let rows = test_rows(dim);
@@ -238,6 +242,7 @@ fn patched_generations_read_bit_identical_to_fresh_builds() {
                 let fresh = ServingIndex::from_stream(&s, shards);
                 let ctx = format!("dim={dim} shards={shards} step={step}");
                 assert!(patched.patch_summary().is_some(), "{ctx}");
+                assert!(fresh.patch_summary().is_none(), "{ctx}");
                 assert_eq!(patched.generation(), fresh.generation(), "{ctx}");
                 assert_eq!(patched.verify_shards(), Some(patched.generation()), "{ctx}");
                 assert_eq!(patched.num_points(), fresh.num_points(), "{ctx}");
@@ -251,13 +256,14 @@ fn patched_generations_read_bit_identical_to_fresh_builds() {
                     );
                 }
                 let snap = s.snapshot();
-                for id in &snap.ids {
+                for (id, &label) in snap.ids.iter().zip(snap.labels.labels()) {
                     assert_eq!(
                         patched.label_of(id.0),
                         fresh.label_of(id.0),
                         "{ctx} id={}",
                         id.0
                     );
+                    assert_eq!(patched.label_of(id.0), Some(label), "{ctx} id={}", id.0);
                 }
                 // Dead slots answer None on both sides.
                 for id in &removals {
@@ -271,16 +277,16 @@ fn patched_generations_read_bit_identical_to_fresh_builds() {
                 let data = s.dataset();
                 for row in 0..data.len() {
                     let q = data.point(PointId(row as u32));
-                    assert_eq!(
-                        patched.classify(q).unwrap(),
-                        fresh.classify(q).unwrap(),
-                        "{ctx} row={row}"
-                    );
+                    let c = patched.classify(q).unwrap();
+                    assert_eq!(c, fresh.classify(q).unwrap(), "{ctx} row={row}");
+                    assert_eq!(c, patched.classify_oracle(q).unwrap(), "{ctx} row={row}");
                 }
                 let probe = vec![1.3; dim];
+                let c = patched.classify(&probe).unwrap();
+                assert_eq!(c, fresh.classify(&probe).unwrap(), "{ctx} unoccupied probe");
                 assert_eq!(
-                    patched.classify(&probe).unwrap(),
-                    fresh.classify(&probe).unwrap(),
+                    c,
+                    patched.classify_oracle(&probe).unwrap(),
                     "{ctx} unoccupied probe"
                 );
                 prev = std::sync::Arc::new(patched);
@@ -355,21 +361,6 @@ fn torn_generation_detector_holds_on_any_built_index() {
         assert_eq!(index.verify_generation(), Some(g));
         assert_eq!(index.generation(), g);
     }
-}
-
-#[test]
-fn index_records_its_backend() {
-    let data = Dataset::from_rows(2, &test_rows(2)).unwrap();
-    let params = RpDbscanParams::new(1.0, 5);
-    let out = RpDbscan::new(params).unwrap().run_local(&data).unwrap();
-    // The batch driver refuses approximate backends, so the tag a batch
-    // index carries is the run's own.
-    let index = ServingIndex::from_batch(&data, &out, 4, 1).unwrap();
-    assert_eq!(index.backend(), out.stats.backend);
-
-    // A streaming-built index is exact by construction.
-    let stream = StreamingRpDbscan::new(2, params).unwrap();
-    assert_eq!(ServingIndex::from_stream(&stream, 2).backend(), "exact");
 }
 
 #[test]

@@ -38,8 +38,9 @@ use rpdbscan_core::{CellExport, RpDbscanParams};
 use rpdbscan_engine::{epoch_stage_name, CostModel, Engine, EngineReport, StageError};
 use rpdbscan_geom::{dist2, Dataset};
 use rpdbscan_grid::{
-    CellCoord, CellDictionary, DecodeError, DictionaryIndex, FxHashMap, FxHashSet, GridError,
-    GridSpec, PlanCache, PlannerCostModel, QueryRoute, QueryStats, RegionQueryResult, SubCellEntry,
+    for_each_in_box, CellCoord, CellDictionary, DecodeError, DictionaryIndex, FxHashMap, FxHashSet,
+    GridError, GridSpec, PlanCache, PlannerCostModel, QueryRoute, QueryStats, RegionQueryResult,
+    SubCellEntry,
 };
 use rpdbscan_metrics::Clustering;
 
@@ -157,13 +158,8 @@ impl From<DecodeError> for StreamError {
 }
 
 /// Counters describing the streaming state and the most recent epoch.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StreamStats {
-    /// Density backend the epoch repair path runs on — always `exact`
-    /// today (approximate backends are rejected at construction), but
-    /// carried so routing counters stay attributable per backend in
-    /// mixed reports.
-    pub backend: &'static str,
     /// Number of live points.
     pub live_points: usize,
     /// Number of occupied cells.
@@ -204,29 +200,6 @@ pub struct StreamStats {
     /// epoch against the compacted dictionary; structural, so it only
     /// changes if the dimensionality model does).
     pub route_min_occupancy: u32,
-}
-
-impl Default for StreamStats {
-    fn default() -> Self {
-        StreamStats {
-            backend: "exact",
-            live_points: 0,
-            num_cells: 0,
-            num_clusters: 0,
-            last_changed_cells: 0,
-            last_dirty_cells: 0,
-            last_relabeled_cells: 0,
-            total_repaired_cells: 0,
-            total_inserted: 0,
-            total_removed: 0,
-            plans_built: 0,
-            plan_hits: 0,
-            plans_invalidated: 0,
-            cells_routed_planned: 0,
-            cells_routed_kd: 0,
-            route_min_occupancy: 0,
-        }
-    }
 }
 
 /// A consistent view of the clustering at one epoch.
@@ -940,35 +913,23 @@ impl StreamingRpDbscan {
         let mut pair = |changed: &CellCoord, occupied: CellCoord| {
             dirty.entry(occupied).or_default().push(changed.clone());
         };
-        // (|δ|−1)·side ≤ ε per dimension bounds the offset window:
-        // |δ| ≤ 1 + ε/side = 1 + √d.
-        let b = 1 + (self.dim as f64).sqrt().ceil() as i64;
+        let b = self.spec.window_reach();
         let window = (2 * b + 1).checked_pow(self.dim as u32);
         let box_cost = window.and_then(|w| w.checked_mul(changed.len() as i64));
         let scan_cost = (self.cells.len() * changed.len()) as i64;
         match box_cost {
             Some(cost) if cost <= scan_cost => {
-                let mut offset = vec![-b; self.dim];
                 for c in changed {
-                    offset.fill(-b);
-                    'enumerate: loop {
-                        let cand = CellCoord::new(
-                            c.coords().iter().zip(offset.iter()).map(|(&x, &d)| x + d),
-                        );
+                    let lo: Vec<i64> = c.coords().iter().map(|&x| x - b).collect();
+                    let hi: Vec<i64> = c.coords().iter().map(|&x| x + b).collect();
+                    for_each_in_box(&lo, &hi, |p| {
+                        let cand = CellCoord::new(p.iter().copied());
                         if self.cells.contains_key(&cand)
                             && self.spec.cell_min_dist2(c, &cand) <= eps2_bound
                         {
                             pair(c, cand);
                         }
-                        for slot in offset.iter_mut() {
-                            *slot += 1;
-                            if *slot <= b {
-                                continue 'enumerate;
-                            }
-                            *slot = -b;
-                        }
-                        break;
-                    }
+                    });
                 }
             }
             _ => {

@@ -86,10 +86,3 @@ fn approximate_backends_are_rejected_at_construction() {
         assert!(err.to_string().contains("exact density backend"), "{err}");
     }
 }
-
-#[test]
-fn stream_stats_carry_the_backend_tag() {
-    let mut s = StreamingRpDbscan::new(2, RpDbscanParams::new(1.0, 4)).unwrap();
-    s.insert_batch(&grid_batch(16)).unwrap();
-    assert_eq!(s.snapshot().stats.backend, "exact");
-}

@@ -656,12 +656,11 @@ fn serve(args: &[String]) -> Result<(), String> {
     {
         let index = server.index();
         println!(
-            "serving index: {} shards, {} cells, {} points, generation {}, backend {}",
+            "serving index: {} shards, {} cells, {} points, generation {}",
             index.num_shards(),
             index.num_cells(),
             index.num_points(),
-            index.generation(),
-            index.backend()
+            index.generation()
         );
     }
 
