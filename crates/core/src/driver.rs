@@ -56,6 +56,10 @@ pub struct RunStats {
     pub query_plans_built: u64,
     /// Region queries answered through a memoized cell plan.
     pub query_plan_hits: u64,
+    /// Points of planned cells resolved by the dense-cell path, with no
+    /// per-point query: `query_plan_hits + query_points_dense` is the
+    /// number of points in planned cells.
+    pub query_points_dense: u64,
     /// Cells answered purely from a plan's precomputed sub-cell sums —
     /// no per-point distance test at all.
     pub query_cells_planned_full: u64,
@@ -290,6 +294,7 @@ impl RpDbscan {
             query_cells_candidate: query_stats.cells_candidate as u64,
             query_plans_built: query_stats.plans_built as u64,
             query_plan_hits: query_stats.plan_hits as u64,
+            query_points_dense: query_stats.points_dense as u64,
             query_cells_planned_full: query_stats.cells_planned_full as u64,
             query_cells_routed_planned: query_stats.cells_routed_planned as u64,
             query_cells_routed_kd: query_stats.cells_routed_kd as u64,

@@ -6,6 +6,10 @@
 //! cells to every cell holding a qualifying neighbour sub-cell. Successor
 //! cells living in other partitions stay type-undetermined until Phase
 //! III merges the knowledge in.
+//!
+//! A planned cell whose plan proves every point's density ≥ minPts (a
+//! *dense* cell) skips the per-point queries: its points are all core
+//! and its successors are found per cell (DESIGN §5.1).
 
 use crate::graph::{CellSubgraph, CellType};
 use crate::source::{CellSource, Scratch};
@@ -70,7 +74,9 @@ pub struct LocalClustering {
     pub core_points: FxHashMap<u32, Vec<PointId>>,
     /// Aggregated region-query instrumentation.
     pub stats: QueryStats,
-    /// Number of region queries executed (= points in the partition).
+    /// Points of the partition, each resolved by a region query or by
+    /// the dense-cell path (so always the partition's point count; it
+    /// feeds `RunStats::points_processed`).
     pub queries: u64,
 }
 
@@ -110,6 +116,12 @@ impl LocalBuilder {
     /// Runs Algorithm 3's per-cell body: region-query every point of the
     /// cell, mark core points, and (for a core cell) add successor edges.
     ///
+    /// A planned cell whose [`CellQueryPlan::density_floor`] reaches
+    /// `min_pts` skips the per-point queries: all of its points are core,
+    /// and its successors are found per cell by
+    /// [`CellQueryPlan::successors_into`]. The output is the one the
+    /// per-point loop would build.
+    ///
     /// `ids` lists the cell's point ids and `rows` their gathered
     /// coordinates, row-major: the `j`-th id's point occupies
     /// `rows[j*dim..(j+1)*dim]`. A cell absent from the broadcast
@@ -132,7 +144,7 @@ impl LocalBuilder {
             ))
         })?;
         self.neighbors.clear();
-        let mut is_core_cell = false;
+        self.queries += ids.len() as u64;
         let plan = match routing.route(ids.len()) {
             QueryRoute::Planned => {
                 self.stats.cells_routed_planned += 1;
@@ -146,13 +158,30 @@ impl LocalBuilder {
                 None
             }
         };
+        if let Some(plan) = &plan {
+            if !ids.is_empty() && plan.density_floor() >= min_pts as u64 {
+                // Dense cell: every point's density is at least the
+                // floor, so all are core (Lines 9–12) and the successors
+                // (13–16) are the cells any of them reaches.
+                self.stats.points_dense += ids.len() as u32;
+                self.core_points
+                    .entry(cell_idx)
+                    .or_default()
+                    .extend_from_slice(ids);
+                self.types.push((cell_idx, CellType::Core));
+                plan.successors_into(rows, &mut self.neighbors);
+                self.edges
+                    .extend(self.neighbors.iter().map(|&nc| (cell_idx, nc)));
+                return Ok(());
+            }
+        }
+        let mut is_core_cell = false;
         for (&pid, p) in ids.iter().zip(rows.chunks_exact(dim)) {
             match &plan {
                 Some(plan) => plan.query_into(p, &mut self.r),
                 None => index.region_query_cells_scratch(p, &mut self.r, &mut self.center),
             }
             self.stats.merge(&self.r.stats);
-            self.queries += 1;
             if self.r.density >= min_pts as u64 {
                 // p is a core point (Line 9–10); its cell is core (11–12)
                 // and all cells holding one of its (ε,ρ)-neighbour
@@ -400,14 +429,21 @@ mod tests {
                         assert_eq!(routed.core_points, oracle.core_points);
                         assert_eq!(routed.subgraph.types(), oracle.subgraph.types());
                         assert_eq!(routed.subgraph.edges(), oracle.subgraph.edges());
-                        // Per-point counters are bit-identical; only the
-                        // amortised candidate/sub-dictionary counters differ.
-                        assert_eq!(routed.stats.cells_full, oracle.stats.cells_full);
-                        assert_eq!(routed.stats.cells_partial, oracle.stats.cells_partial);
-                        assert_eq!(
-                            routed.stats.subcells_reported,
-                            oracle.stats.subcells_reported
-                        );
+                        // Per-point counters are bit-identical while every
+                        // point runs a query; only the amortised
+                        // candidate/sub-dictionary counters differ. Dense
+                        // cells run no per-point query at all.
+                        if routed.stats.points_dense == 0 {
+                            assert_eq!(routed.stats.cells_full, oracle.stats.cells_full);
+                            assert_eq!(routed.stats.cells_partial, oracle.stats.cells_partial);
+                            assert_eq!(
+                                routed.stats.subcells_reported,
+                                oracle.stats.subcells_reported
+                            );
+                        }
+                        if min_pts == 1000 {
+                            assert_eq!(routed.stats.points_dense, 0);
+                        }
                         // Routing decisions are fully accounted for.
                         assert_eq!(
                             routed.stats.cells_routed_planned + routed.stats.cells_routed_kd,
@@ -419,7 +455,12 @@ mod tests {
                             "one plan per planned-routed cell"
                         );
                         if routing == QueryRouting::Planned {
-                            assert_eq!(routed.stats.plan_hits, routed.queries as u32);
+                            // Every point of a planned cell is either
+                            // queried through its plan or resolved dense.
+                            assert_eq!(
+                                routed.stats.plan_hits + routed.stats.points_dense,
+                                routed.queries as u32
+                            );
                         }
                     }
                 }

@@ -30,6 +30,14 @@
 //!    pointer-chasing `CellEntry::subs` and recomputing
 //!    `sub_center_into` per sub-cell per point.
 //!
+//! 4. **Dense cells.** The always-qualifying sums bound every point's
+//!    density from below ([`CellQueryPlan::density_floor`]). When the
+//!    bound reaches minPts, Phase II needs no per-point query: every
+//!    point is core, and [`CellQueryPlan::successors_into`] finds the
+//!    cells they reach per cell — a cell with an always-qualifying
+//!    sub-cell at once, any other by walking the points until the first
+//!    one that reaches it.
+//!
 //! Classification uses a conservative relative slack ([`PLAN_SLACK`]):
 //! near the ε boundary a sub-cell stays in the tested set, where
 //! [`CellQueryPlan::query_into`] replicates the unplanned
@@ -74,6 +82,8 @@ pub struct CellQueryPlan {
     dim: usize,
     eps2: f64,
     side: f64,
+    /// Dictionary index of the planned (query) cell itself.
+    own: u32,
     /// Planned cells: dictionary index per cell.
     cell_idx: Vec<u32>,
     /// Planned cells: box origin per cell, `dim` values each, computed
@@ -154,6 +164,7 @@ impl CellQueryPlan {
             dim,
             eps2,
             side,
+            own: idx,
             cell_idx: Vec::new(),
             lo: Vec::new(),
             total: Vec::new(),
@@ -225,6 +236,35 @@ impl CellQueryPlan {
         plan
     }
 
+    /// Squared distance bounds `(min², max²)` from `p` to planned cell
+    /// `j`'s box, bit-identical to `GridSpec::cell_dist2_bounds` (same
+    /// origins, same formulas). Shared by [`Self::query_into`] and
+    /// [`Self::successors_into`] so the two paths cannot drift.
+    // lint:hot
+    #[inline]
+    fn box_bounds(&self, j: usize, p: &[f64]) -> (f64, f64) {
+        let lo = &self.lo[j * self.dim..(j + 1) * self.dim];
+        let mut min_acc = 0.0;
+        let mut max_acc = 0.0;
+        for (&l, &v) in lo.iter().zip(p.iter()) {
+            let hi = l + self.side;
+            // Branch-free selection of the same values the branchy
+            // `cell_dist2_bounds` arms produce: `l - v` when the point is
+            // left of the box, `v - hi` right of it, else 0.
+            let dmin = (l - v).max(v - hi).max(0.0);
+            let dmax = (v - l).abs().max((v - hi).abs());
+            min_acc += dmin * dmin;
+            max_acc += dmax * dmax;
+        }
+        (min_acc, max_acc)
+    }
+
+    /// Planned cell `j`'s tested sub-cell range in `centers`/`counts`.
+    #[inline]
+    fn tested(&self, j: usize) -> std::ops::Range<usize> {
+        self.sub_start[j] as usize..self.sub_start[j + 1] as usize
+    }
+
     /// Answers the region query for `p` (a point of the planned cell),
     /// clearing and refilling `result` exactly like
     /// [`DictionaryIndex::region_query_cells_into`].
@@ -241,31 +281,16 @@ impl CellQueryPlan {
         let eps2 = self.eps2;
         let dim = self.dim;
         for j in 0..self.cell_idx.len() {
-            // Per-point box bounds, bit-identical to
-            // `GridSpec::cell_dist2_bounds` (same origins, same formulas).
-            let lo = &self.lo[j * dim..(j + 1) * dim];
-            let mut min_acc = 0.0;
-            let mut max_acc = 0.0;
-            for (&l, &v) in lo.iter().zip(p.iter()) {
-                let hi = l + self.side;
-                // Branch-free selection of the same values the branchy
-                // `cell_dist2_bounds` arms produce: `l - v` when the
-                // point is left of the box, `v - hi` right of it, else 0.
-                let dmin = (l - v).max(v - hi).max(0.0);
-                let dmax = (v - l).abs().max((v - hi).abs());
-                min_acc += dmin * dmin;
-                max_acc += dmax * dmax;
-            }
+            let (min_acc, max_acc) = self.box_bounds(j, p);
             if min_acc > eps2 {
                 continue; // cannot contain any qualifying centre
             }
-            let start = self.sub_start[j] as usize;
-            let end = self.sub_start[j + 1] as usize;
+            let tested = self.tested(j);
             if max_acc <= eps2 {
                 // Fully contained for this particular point: every
                 // sub-cell qualifies, tested or not.
                 stats.cells_full += 1;
-                stats.subcells_reported += self.always_subs[j] + (end - start) as u32;
+                stats.subcells_reported += self.always_subs[j] + tested.len() as u32;
                 result.density += self.total[j];
                 result.neighbor_cells.push(self.cell_idx[j]);
             } else {
@@ -275,10 +300,10 @@ impl CellQueryPlan {
                 // (see `rpdbscan_geom::kernel`).
                 let (hits, tested_density) = kernel::sum_within_u32(
                     p,
-                    &self.centers[start * dim..end * dim],
+                    &self.centers[tested.start * dim..tested.end * dim],
                     dim,
                     eps2,
-                    &self.counts[start..end],
+                    &self.counts[tested.clone()],
                 );
                 let reported = self.always_subs[j] + hits;
                 result.density += self.always_total[j] + tested_density;
@@ -286,7 +311,7 @@ impl CellQueryPlan {
                     stats.cells_partial += 1;
                     stats.subcells_reported += reported;
                     result.neighbor_cells.push(self.cell_idx[j]);
-                    if start == end {
+                    if tested.is_empty() {
                         // Answered purely from precomputed data.
                         stats.cells_planned_full += 1;
                     }
@@ -294,6 +319,51 @@ impl CellQueryPlan {
             }
         }
         result.stats = stats;
+    }
+
+    /// A lower bound on the region-query density of **every** point of
+    /// the planned cell: the summed densities of the always-qualifying
+    /// sub-cells, which [`Self::query_into`] adds for each point without
+    /// a test. The own cell's sub-cells are always among them (each
+    /// sub-centre sits `sub_side/2` inside the box), so the bound is at
+    /// least the cell's own count. When it reaches `minPts`, every point
+    /// of the cell is core without a query.
+    pub fn density_floor(&self) -> u64 {
+        self.always_total.iter().sum()
+    }
+
+    /// Appends to `out`, in ascending dictionary order, every planned cell
+    /// other than the own cell that some row of `rows` (the cell's points,
+    /// row-major) reaches — the sorted, deduplicated union of the
+    /// `neighbor_cells` that [`Self::query_into`] would report over those
+    /// rows, without the per-point density sums.
+    ///
+    /// A cell with an always-qualifying sub-cell is reached by every row.
+    /// Otherwise the rows are walked until the first one whose box bounds
+    /// admit the cell and that either contains the whole cell within ε
+    /// or has one of its tested centres within ε.
+    // lint:hot
+    pub fn successors_into(&self, rows: &[f64], out: &mut Vec<u32>) {
+        debug_assert_eq!(rows.len() % self.dim, 0, "ragged row buffer");
+        let eps2 = self.eps2;
+        let dim = self.dim;
+        for (j, &cj) in self.cell_idx.iter().enumerate() {
+            if cj == self.own {
+                continue;
+            }
+            let reached = self.always_subs[j] > 0 || {
+                let tested = self.tested(j);
+                let centers = &self.centers[tested.start * dim..tested.end * dim];
+                rows.chunks_exact(dim).any(|p| {
+                    let (min_acc, max_acc) = self.box_bounds(j, p);
+                    min_acc <= eps2
+                        && (max_acc <= eps2 || kernel::any_within(p, centers, dim, eps2))
+                })
+            };
+            if reached {
+                out.push(cj);
+            }
+        }
     }
 
     /// Number of planned (non-pruned) candidate cells.

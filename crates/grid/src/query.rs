@@ -38,8 +38,9 @@ pub struct QueryStats {
     pub plans_built: u32,
     /// Queries answered through a memoized [`crate::plan::CellQueryPlan`].
     pub plan_hits: u32,
-    /// Cells answered from a plan's precomputed *always-full* set without
-    /// any per-point distance test (subset of `cells_full`).
+    /// Cells answered from a plan's precomputed *always-qualifying*
+    /// sub-cells without any per-point distance test (subset of
+    /// `cells_partial`).
     pub cells_planned_full: u32,
     /// Occupied cells the cost model routed through the memoized planner
     /// ([`crate::plan::PlannerCostModel`]).
@@ -47,6 +48,10 @@ pub struct QueryStats {
     /// Occupied cells the cost model routed through the per-point kd
     /// path (occupancy below the plan-build break-even).
     pub cells_routed_kd: u32,
+    /// Points of planned cells resolved by the dense-cell path: the
+    /// plan's density floor proves them core, so no per-point query ran.
+    /// With `plan_hits` it covers every point of a planned cell.
+    pub points_dense: u32,
 }
 
 impl QueryStats {
@@ -63,6 +68,7 @@ impl QueryStats {
         self.cells_planned_full += other.cells_planned_full;
         self.cells_routed_planned += other.cells_routed_planned;
         self.cells_routed_kd += other.cells_routed_kd;
+        self.points_dense += other.points_dense;
     }
 }
 

@@ -14,7 +14,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -70,6 +70,27 @@ fn lint(args: &[String]) -> ExitCode {
         }
     }
 
+    // Read the baseline before the report is written: `--json P
+    // --baseline P` must diff against the old P, not the new scan.
+    let baseline = match baseline_path.map(|p| abs(&root, p)) {
+        Some(path) => {
+            let src = match std::fs::read_to_string(&path) {
+                Ok(s) => s,
+                Err(e) => {
+                    eprintln!("xtask lint: read baseline {}: {e}", path.display());
+                    return ExitCode::from(2);
+                }
+            };
+            match xtask::baseline::Baseline::parse(&src) {
+                Ok(b) => Some((path, b)),
+                Err(e) => {
+                    eprintln!("xtask lint: {e}");
+                    return ExitCode::from(2);
+                }
+            }
+        }
+        None => None,
+    };
     let report = match xtask::run_lint(&root) {
         Ok(r) => r,
         Err(e) => {
@@ -78,12 +99,7 @@ fn lint(args: &[String]) -> ExitCode {
         }
     };
     print!("{}", report.human());
-    if let Some(path) = json_path {
-        let path = if path.is_absolute() {
-            path
-        } else {
-            root.join(path)
-        };
+    if let Some(path) = json_path.map(|p| abs(&root, p)) {
         let mut text = report.json().to_string();
         text.push('\n');
         if let Err(e) = std::fs::write(&path, text) {
@@ -92,26 +108,7 @@ fn lint(args: &[String]) -> ExitCode {
         }
         println!("  report: {}", path.display());
     }
-    if let Some(path) = baseline_path {
-        let path = if path.is_absolute() {
-            path
-        } else {
-            root.join(path)
-        };
-        let src = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("xtask lint: read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let base = match xtask::baseline::Baseline::parse(&src) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("xtask lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
+    if let Some((path, base)) = baseline {
         let new = base.new_findings(&report.findings);
         for f in &new {
             println!("  NEW {}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
@@ -131,6 +128,15 @@ fn lint(args: &[String]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+/// `path` resolved against the scanned root when relative.
+fn abs(root: &Path, path: PathBuf) -> PathBuf {
+    if path.is_absolute() {
+        path
+    } else {
+        root.join(path)
     }
 }
 
