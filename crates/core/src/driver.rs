@@ -209,32 +209,51 @@ impl RpDbscan {
         let dim = spec.dim();
 
         // ---- Phase I-1 (cont.): the seeded deal of whole cells --------
+        // Only Phase II needs the deal's load balance. It keeps the dealt
+        // partitions but visits each one's cells in store order; Phase I-2
+        // and Phase III-2 take contiguous ranges of the directory, so an
+        // out-of-core run reads the cell-sorted store front to back.
         let directory: Vec<u32> = (0..source.num_cells() as u32).collect();
-        let parts: Vec<Vec<u32>> = pseudo_random_deal(directory, k, p.seed);
+        let mut parts: Vec<Vec<u32>> = pseudo_random_deal(directory.clone(), k, p.seed);
+        // The dictionary keeps the deal's order: clusters are numbered by
+        // dictionary index, so that order fixes the labels.
+        let deal: Vec<u32> = parts.concat();
+        for part in &mut parts {
+            part.sort_unstable();
+        }
         // Dealing cells to partitions moves every point to its worker
         // exactly once; charge the same per-point shuffle the region-split
         // baselines pay for their (duplicated) redistribution.
         let point_bytes = (dim * 4) as u64;
         engine.shuffle_cost("phase1-1:shuffle", source.num_points() as u64 * point_bytes);
         let part_refs: Vec<&[u32]> = parts.iter().map(Vec::as_slice).collect();
+        let ranges: Vec<&[u32]> = point_ranges(directory.len(), k)
+            .into_iter()
+            .map(|(lo, hi)| &directory[lo..hi])
+            .collect();
 
         // ---- Phase I-2: cell dictionary building + broadcast ----------
-        let entries =
-            engine.run_stage("phase1-2:dictionary", part_refs.clone(), |_ctx, part| {
-                let mut s = Scratch::default();
-                let mut out = Vec::with_capacity(part.len());
-                for &ci in part {
-                    source.gather_coords(ci, &mut s)?;
-                    out.push(CellEntry::from_points(
-                        &spec,
-                        source.coord(ci).clone(),
-                        s.coords.chunks_exact(dim),
-                    ));
-                }
-                Ok(out)
-            })?;
-        let dict =
-            CellDictionary::from_entries(spec.clone(), entries.outputs.into_iter().flatten());
+        let entries = engine.run_stage("phase1-2:dictionary", ranges.clone(), |_ctx, range| {
+            let mut s = Scratch::default();
+            let mut out = Vec::with_capacity(range.len());
+            for &ci in range {
+                source.gather_coords(ci, &mut s)?;
+                out.push(CellEntry::from_points(
+                    &spec,
+                    source.coord(ci).clone(),
+                    s.coords.chunks_exact(dim),
+                ));
+            }
+            Ok(out)
+        })?;
+        // Directory order to deal order: the deal is a permutation of the
+        // directory, so every slot is taken exactly once.
+        let mut slots: Vec<Option<CellEntry>> =
+            entries.outputs.into_iter().flatten().map(Some).collect();
+        let dict = CellDictionary::from_entries(
+            spec.clone(),
+            deal.iter().filter_map(|&ci| slots[ci as usize].take()),
+        );
         let wire_bytes = dict.encode().len() as u64;
         engine.broadcast_cost("phase1-2:broadcast", wire_bytes);
         let dict_cells = dict.num_cells();
@@ -246,16 +265,15 @@ impl RpDbscan {
         // Calibrated once per dictionary build; each partition cell then
         // routes itself between the memoized planner and the kd path.
         let routing = QueryRouting::auto(&index);
-        let locals =
-            engine.run_stage("phase2:local-clustering", part_refs.clone(), |ctx, part| {
-                if Some(ctx.index()) == p.inject_fault {
-                    // lint:allow(panic-safety): deliberate fault-injection hook; the engine's panic recovery is what is under test
-                    panic!("injected fault in partition {}", ctx.index());
-                }
-                let local = build_local_clustering(&source, part, &index, p.min_pts, routing)?;
-                let run = Run::keep(local.subgraph, spill).map_err(task_err)?;
-                Ok((run, local.core_points, local.stats, local.queries))
-            })?;
+        let locals = engine.run_stage("phase2:local-clustering", part_refs, |ctx, part| {
+            if Some(ctx.index()) == p.inject_fault {
+                // lint:allow(panic-safety): deliberate fault-injection hook; the engine's panic recovery is what is under test
+                panic!("injected fault in partition {}", ctx.index());
+            }
+            let local = build_local_clustering(&source, part, &index, p.min_pts, routing)?;
+            let run = Run::keep(local.subgraph, spill).map_err(task_err)?;
+            Ok((run, local.core_points, local.stats, local.queries))
+        })?;
         let mut query_stats = QueryStats::default();
         let mut core_points: FxHashMap<u32, Vec<PointId>> = FxHashMap::default();
         let mut runs: Vec<Run> = Vec::with_capacity(k);
@@ -274,8 +292,8 @@ impl RpDbscan {
 
         // ---- Phase III-2: point labeling -------------------------------
         let support = LabelSupport::build(merged.global, index.dict());
-        let labeled = engine.run_stage("phase3-2:labeling", part_refs, |_ctx, part| {
-            label_partition(&source, part, &support, &core_points, index.dict(), p.eps)
+        let labeled = engine.run_stage("phase3-2:labeling", ranges, |_ctx, range| {
+            label_partition(&source, range, &support, &core_points, index.dict(), p.eps)
         })?;
         let clustering = assemble_clustering(source.num_points(), labeled.outputs);
 

@@ -4,10 +4,11 @@
 //! budget may change how often pages are refetched, but never what the
 //! algorithm computes.
 
-use rpdbscan_core::{OutOfCoreConfig, RpDbscan, RpDbscanParams, RunStats};
+use rpdbscan_core::partition::group_by_cell;
+use rpdbscan_core::{pseudo_random_deal, OutOfCoreConfig, RpDbscan, RpDbscanParams, RunStats};
 use rpdbscan_engine::{CostModel, Engine};
 use rpdbscan_geom::Dataset;
-use rpdbscan_grid::GridSpec;
+use rpdbscan_grid::{CellDictionary, CellEntry, GridSpec};
 use rpdbscan_store::{ColumnStore, StoreWriter};
 use std::sync::Arc;
 
@@ -145,6 +146,40 @@ fn tiny_budget_run_is_deterministic() {
     assert_eq!(a.stats, b.stats);
     assert!(a.stats.pool_evictions > 0, "tiny budget must evict");
     assert!(a.stats.pool_misses > a.stats.pool_evictions / 2);
+}
+
+/// Phase I-2 reads cells in store order, but the dictionary lists them in
+/// the seeded deal's order: clusters are numbered by dictionary index, so
+/// that order fixes the labels.
+#[test]
+fn dictionary_keeps_the_deal_order() {
+    let (dim, eps, rho) = (2, 1.0, 0.1);
+    let rows = blobs(dim, 60);
+    let data = Dataset::from_rows(dim, &rows).unwrap();
+    let spec = GridSpec::new(dim, eps, rho).unwrap();
+    let cells = group_by_cell(&spec, &data);
+    let store = build_store(&rows, dim, eps, rho, 32);
+    let engine = Engine::with_cost_model(4, CostModel::free());
+    for k in [1usize, 3, 16] {
+        let params = RpDbscanParams::new(eps, 5).with_rho(rho).with_partitions(k);
+        let deal = pseudo_random_deal((0..cells.len() as u32).collect(), k, params.seed).concat();
+        let expected = CellDictionary::from_entries(
+            spec.clone(),
+            deal.iter().map(|&ci| {
+                let cell = &cells[ci as usize];
+                let points = cell.points.iter().map(|&id| data.point(id));
+                CellEntry::from_points(&spec, cell.coord.clone(), points)
+            }),
+        )
+        .encode();
+        let runner = RpDbscan::new(params).unwrap();
+        let resident = runner.run(&data, &engine).unwrap();
+        let ooc = runner
+            .run_out_of_core(&store, &OutOfCoreConfig::new(3 * 32 * 8), &engine)
+            .unwrap();
+        assert!(resident.cells.dict().encode() == expected, "resident k={k}");
+        assert!(ooc.cells.dict().encode() == expected, "out-of-core k={k}");
+    }
 }
 
 #[test]

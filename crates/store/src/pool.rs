@@ -3,10 +3,14 @@
 //! [`BufferPool::pin`] returns an [`Arc`]-backed [`PageRef`]; while any
 //! handle to a page is alive the page cannot be evicted (pin = an extra
 //! strong count). Eviction is clock / second-chance: each cached page
-//! carries a referenced bit set on every hit; when tracked bytes exceed
-//! the budget the clock hand sweeps the ring, clearing referenced bits
-//! on the first pass and evicting unpinned, unreferenced pages on the
-//! second. If every page is pinned the pool overshoots its budget
+//! carries a referenced bit, set when the page is read in and on every
+//! hit. When tracked bytes exceed the budget the clock hand sweeps the
+//! ring oldest first, clearing referenced bits on the first pass and
+//! evicting unpinned, unreferenced pages on the second. A page just read
+//! is about to be used again (a gather walks a page's rows cell by
+//! cell), so it starts with its second chance and joins the ring behind
+//! every older page. A scan in store order therefore reads each page
+//! once. If every page is pinned the pool overshoots its budget
 //! honestly — `peak_tracked_bytes` records it — rather than deadlocking,
 //! so the budget floor for an `n`-worker run is `n + 1` pages.
 //!
@@ -17,6 +21,7 @@
 use crate::reader::ColumnStore;
 use crate::StoreError;
 use rpdbscan_grid::FxHashMap;
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// Address of one page: column index (coordinate columns `0..dim`, the
@@ -80,10 +85,12 @@ struct Slot {
 
 struct PoolInner {
     pages: FxHashMap<PageKey, Slot>,
-    /// Clock ring of cached keys; order is insertion order perturbed by
-    /// `swap_remove` on eviction — a performance detail only.
-    ring: Vec<PageKey>,
-    hand: usize,
+    /// Clock ring of cached keys, oldest first; the hand is the front. A
+    /// page the hand spares moves to the back, as does a page read in.
+    /// Eviction must keep this order: filling the victim's slot with the
+    /// newest key (as `swap_remove` would) puts the page just read under
+    /// the hand, and the next miss evicts it.
+    ring: VecDeque<PageKey>,
     stats: PoolStats,
 }
 
@@ -108,8 +115,7 @@ impl BufferPool {
             store,
             inner: Mutex::new(PoolInner {
                 pages: FxHashMap::default(),
-                ring: Vec::new(),
-                hand: 0,
+                ring: VecDeque::new(),
                 stats: PoolStats {
                     budget_bytes,
                     ..PoolStats::default()
@@ -163,10 +169,10 @@ impl BufferPool {
             key,
             Slot {
                 data: data.clone(),
-                referenced: false,
+                referenced: true,
             },
         );
-        inner.ring.push(key);
+        inner.ring.push_back(key);
         inner.stats.tracked_bytes += bytes;
         if inner.stats.tracked_bytes > inner.stats.peak_tracked_bytes {
             inner.stats.peak_tracked_bytes = inner.stats.tracked_bytes;
@@ -176,19 +182,16 @@ impl BufferPool {
     }
 }
 
-/// Clock sweep: clear referenced bits on first touch, evict unpinned
-/// unreferenced pages, stop when under budget or when a full double
-/// sweep finds nothing evictable (everything pinned).
+/// Clock sweep from the oldest page: clear referenced bits on first
+/// touch, evict unpinned unreferenced pages, stop when under budget or
+/// when a full double sweep finds nothing evictable (everything pinned).
 fn evict_to_budget(inner: &mut PoolInner) {
     let mut fruitless = 0usize;
-    while inner.stats.tracked_bytes > inner.stats.budget_bytes && !inner.ring.is_empty() {
-        if fruitless > 2 * inner.ring.len() {
+    while inner.stats.tracked_bytes > inner.stats.budget_bytes && fruitless <= 2 * inner.ring.len()
+    {
+        let Some(key) = inner.ring.pop_front() else {
             break;
-        }
-        if inner.hand >= inner.ring.len() {
-            inner.hand = 0;
-        }
-        let key = inner.ring[inner.hand];
+        };
         let evict = match inner.pages.get_mut(&key) {
             Some(slot) => {
                 if slot.referenced {
@@ -208,10 +211,9 @@ fn evict_to_budget(inner: &mut PoolInner) {
                 inner.stats.tracked_bytes -= slot.data.len() as u64;
                 inner.stats.evictions += 1;
             }
-            inner.ring.swap_remove(inner.hand);
             fruitless = 0;
         } else {
-            inner.hand += 1;
+            inner.ring.push_back(key);
             fruitless += 1;
         }
     }

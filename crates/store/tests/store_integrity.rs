@@ -324,3 +324,48 @@ fn pool_pin_evict_refetch_sequence_is_deterministic() {
     assert_eq!(a, b, "identical access pattern must give identical stats");
     assert!(a.evictions > 0);
 }
+
+#[test]
+fn store_order_scan_reads_each_page_once_at_a_quarter_budget() {
+    let path = write_store("scan", 2000);
+    let _c = Cleanup(path.clone());
+    let store = Arc::new(ColumnStore::open(&path).unwrap());
+    let pages = store.pages_per_col() as u64;
+    assert!(pages >= 100, "need a multi-page store");
+    let pool = BufferPool::new(Arc::clone(&store), store.resident_bytes() / 4);
+
+    // One reader gathers every cell in store order: each coordinate page
+    // is read once and stays cached for the cells after it.
+    let mut coords = Vec::new();
+    for meta in store.cells() {
+        pool.gather_coords(meta.row_start, meta.row_count, &mut coords)
+            .unwrap();
+    }
+    let s = pool.stats();
+    assert_eq!(s.misses, store.dim() as u64 * pages, "{s:?}");
+    assert!(s.evictions > 0, "a quarter budget must evict: {s:?}");
+    assert!(s.peak_tracked_bytes <= s.budget_bytes + 8 * 8, "{s:?}");
+}
+
+#[test]
+fn interleaved_columns_never_evict_a_page_about_to_be_reused() {
+    let path = write_store("interleave", 200);
+    let _c = Cleanup(path.clone());
+    let store = Arc::new(ColumnStore::open(&path).unwrap());
+    let pool = BufferPool::new(Arc::clone(&store), 3 * 8 * 8); // three pages
+    let pages = store.pages_per_col();
+
+    // Page `i` of both columns, pinned alternately a few times, as a
+    // row gather over cells within one page does. A freshly read page is
+    // reused at once, so it must never be the next miss's victim.
+    for page in 0..pages {
+        for _ in 0..3 {
+            for col in 0..2 {
+                let _ = pool.pin(PageKey { col, page }).unwrap();
+            }
+        }
+    }
+    let s = pool.stats();
+    assert_eq!(s.misses, 2 * pages as u64, "{s:?}");
+    assert_eq!(s.hits, 4 * pages as u64, "{s:?}");
+}
