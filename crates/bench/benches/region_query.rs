@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpdbscan_data::{synth, SynthConfig};
-use rpdbscan_grid::{CellDictionary, DictionaryIndex, GridSpec};
+use rpdbscan_grid::{CellDictionary, DictionaryIndex, GridSpec, RegionQueryResult};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -22,11 +22,13 @@ fn bench_rho(c: &mut Criterion) {
         let dict = CellDictionary::build_from_points(spec, data.iter().map(|(_, p)| p));
         let index = DictionaryIndex::new(dict, 1 << 14);
         let queries: Vec<&[f64]> = data.iter().take(200).map(|(_, p)| p).collect();
+        let mut r = RegionQueryResult::default();
         group.bench_with_input(BenchmarkId::from_parameter(rho), &rho, |b, _| {
             b.iter(|| {
                 let mut total = 0u64;
                 for q in &queries {
-                    total += index.neighbor_density(black_box(q));
+                    index.region_query_cells_into(black_box(q), &mut r);
+                    total += r.density;
                 }
                 black_box(total)
             })
@@ -45,12 +47,14 @@ fn bench_defrag_ablation(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(500));
+    let mut r = RegionQueryResult::default();
     let single = DictionaryIndex::single(dict.clone());
     group.bench_function("single_dictionary", |b| {
         b.iter(|| {
             let mut total = 0u64;
             for q in &queries {
-                total += single.neighbor_density(black_box(q));
+                single.region_query_cells_into(black_box(q), &mut r);
+                total += r.density;
             }
             black_box(total)
         })
@@ -60,7 +64,8 @@ fn bench_defrag_ablation(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0u64;
             for q in &queries {
-                total += frag.neighbor_density(black_box(q));
+                frag.region_query_cells_into(black_box(q), &mut r);
+                total += r.density;
             }
             black_box(total)
         })

@@ -14,7 +14,7 @@
 
 use rpdbscan_bench::*;
 use rpdbscan_data::{synth, SynthConfig};
-use rpdbscan_grid::{CellDictionary, DictionaryIndex, GridSpec, QueryStats};
+use rpdbscan_grid::{CellDictionary, DictionaryIndex, GridSpec, QueryStats, RegionQueryResult};
 use std::time::Instant;
 
 struct DefragRow {
@@ -67,10 +67,11 @@ fn main() {
     for capacity in [u64::MAX, 1 << 16, 1 << 13, 1 << 10] {
         let index = DictionaryIndex::new(dict.clone(), capacity);
         let mut stats = QueryStats::default();
+        let mut r = RegionQueryResult::default();
         let t0 = Instant::now(); // lint:allow(determinism-time): wall-clock timing is printed for the user, not fed into clustering results
         for q in &queries {
-            let s = index.region_query(q, |_, _| {});
-            stats.merge(&s);
+            index.region_query_cells_into(q, &mut r);
+            stats.merge(&r.stats);
         }
         let secs = t0.elapsed().as_secs_f64();
         let nq = queries.len() as f64;
@@ -109,9 +110,10 @@ fn main() {
         let h = spec.h();
         let dict = CellDictionary::build_from_points(spec, data.iter().map(|(_, p)| p));
         let index = DictionaryIndex::single(dict);
+        let mut r = RegionQueryResult::default();
         let t0 = Instant::now(); // lint:allow(determinism-time): wall-clock timing is printed for the user, not fed into clustering results
         for q in &queries {
-            index.region_query(q, |_, _| {});
+            index.region_query_cells_into(q, &mut r);
         }
         let secs = t0.elapsed().as_secs_f64();
         let row = RhoRow {

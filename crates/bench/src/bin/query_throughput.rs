@@ -143,17 +143,16 @@ fn bench_shape(
     // drift (frequency scaling, cache state) hits all paths alike and
     // the min is a stable floor for the routed ≥ 1.0× gate.
     let mut r = RegionQueryResult::default();
-    let mut scratch = vec![0.0; 2];
     let mut best = [f64::INFINITY; 3]; // unplanned, planned, routed
     let mut density = [0u64; 3];
     for _ in 0..repeats {
-        // Unplanned: the per-point oracle, scratch threaded exactly as
-        // the pre-planner Phase II loop ran it.
+        // Unplanned: the per-point kd path, result buffer reused as
+        // Phase II runs it.
         let t0 = Instant::now(); // lint:allow(determinism-time): wall-clock timing is printed for the user, not fed into clustering results
         let mut d = 0u64;
         for cell in &cells {
             for &pid in &cell.points {
-                index.region_query_cells_scratch(data.point(pid), &mut r, &mut scratch);
+                index.region_query_cells_into(data.point(pid), &mut r);
                 d += r.density;
             }
         }
@@ -190,7 +189,7 @@ fn bench_shape(
                 }
                 QueryRoute::Kd => {
                     for &pid in &cell.points {
-                        index.region_query_cells_scratch(data.point(pid), &mut r, &mut scratch);
+                        index.region_query_cells_into(data.point(pid), &mut r);
                         d += r.density;
                     }
                 }

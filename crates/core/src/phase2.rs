@@ -83,8 +83,9 @@ pub struct LocalClustering {
 /// Incremental Algorithm 3 state: feed cells one at a time with
 /// [`Self::process_cell`], then [`Self::finish`]. Holds the partition's
 /// accumulating subgraph plus all query scratch, so processing a cell
-/// allocates nothing in steady state.
-#[derive(Debug)]
+/// allocates nothing in steady state. Start a partition from
+/// [`Default::default`].
+#[derive(Debug, Default)]
 pub struct LocalBuilder {
     /// The partition's subgraph so far, unsorted until [`Self::finish`].
     types: Vec<(u32, CellType)>,
@@ -95,24 +96,9 @@ pub struct LocalBuilder {
     // Scratch buffers reused across all points of the partition.
     neighbors: Vec<u32>,
     r: rpdbscan_grid::RegionQueryResult,
-    center: Vec<f64>,
 }
 
 impl LocalBuilder {
-    /// A fresh builder for one partition under `index`'s grid.
-    pub fn new(index: &DictionaryIndex) -> LocalBuilder {
-        LocalBuilder {
-            types: Vec::new(),
-            edges: Vec::new(),
-            core_points: FxHashMap::default(),
-            stats: QueryStats::default(),
-            queries: 0,
-            neighbors: Vec::new(),
-            r: rpdbscan_grid::RegionQueryResult::default(),
-            center: vec![0.0; index.spec().dim()],
-        }
-    }
-
     /// Runs Algorithm 3's per-cell body: region-query every point of the
     /// cell, mark core points, and (for a core cell) add successor edges.
     ///
@@ -179,7 +165,7 @@ impl LocalBuilder {
         for (&pid, p) in ids.iter().zip(rows.chunks_exact(dim)) {
             match &plan {
                 Some(plan) => plan.query_into(p, &mut self.r),
-                None => index.region_query_cells_scratch(p, &mut self.r, &mut self.center),
+                None => index.region_query_cells_into(p, &mut self.r),
             }
             self.stats.merge(&self.r.stats);
             if self.r.density >= min_pts as u64 {
@@ -231,7 +217,7 @@ impl LocalBuilder {
 /// whether a [`CellQueryPlan`] is built (and every point of the cell
 /// answered through it — the kd-tree candidate search and sub-cell
 /// centre materialisation amortised over the cell's points) or each
-/// point runs the plain per-point `region_query`. The clustering output
+/// point runs the per-point kd query. The clustering output
 /// is identical on every route; the decision is recorded in the
 /// returned stats (`cells_routed_planned` / `cells_routed_kd`).
 ///
@@ -245,7 +231,7 @@ pub fn build_local_clustering(
     min_pts: usize,
     routing: QueryRouting,
 ) -> Result<LocalClustering, TaskError> {
-    let mut builder = LocalBuilder::new(index);
+    let mut builder = LocalBuilder::default();
     let mut s = Scratch::default();
     for &ci in cells {
         source.gather_coords(ci, &mut s)?;

@@ -64,9 +64,10 @@ where
 
 /// [`recompute_cell`] with an optional per-cell query plan: when `plan` is
 /// given (a [`CellQueryPlan`] built for `coord` against the same epoch's
-/// `index`), every point query is answered through it instead of the plain
-/// `region_query`. Results are identical; the plan just amortises the
-/// candidate search over the cell's points.
+/// `index`), every point query is answered through it instead of the
+/// per-point [`DictionaryIndex::region_query_cells_into`]. Results are
+/// identical; the plan just amortises the candidate search over the
+/// cell's points.
 pub fn recompute_cell_planned<'a, F>(
     index: &DictionaryIndex,
     coord: &CellCoord,
@@ -85,11 +86,10 @@ where
     let mut neighbor_idx: Vec<u32> = Vec::new();
     let mut stats = QueryStats::default();
     let mut r = RegionQueryResult::default();
-    let mut scratch = vec![0.0; index.spec().dim()];
     for &id in points {
         match plan {
             Some(plan) => plan.query_into(point_of(id), &mut r),
-            None => index.region_query_cells_scratch(point_of(id), &mut r, &mut scratch),
+            None => index.region_query_cells_into(point_of(id), &mut r),
         }
         stats.merge(&r.stats);
         densities.push(r.density);
@@ -120,8 +120,9 @@ where
 
 /// The `(ε,ρ)`-density one cell contributes to a query point: the summed
 /// counts of its sub-cells whose centres lie within ε of `q` — the
-/// per-cell inner step of [`DictionaryIndex::region_query`], with the same
-/// containment fast paths, extracted so streaming deltas reproduce the
+/// per-cell inner step of [`DictionaryIndex::region_query_cells_into`],
+/// with the same containment fast paths and bit-identical bounds and
+/// distances, computed from the entry so streaming deltas reproduce the
 /// full query's arithmetic exactly.
 ///
 /// `scratch` must be a `dim`-sized buffer; it keeps the loop

@@ -100,9 +100,8 @@ impl SampledCore {
             let mut cores: Vec<u32> = Vec::new();
             let mut stats = QueryStats::default();
             let mut r = RegionQueryResult::default();
-            let mut center = vec![0.0; data.dim()];
             for &i in &chunk {
-                index.region_query_cells_scratch(data.point_at(i as usize), &mut r, &mut center);
+                index.region_query_cells_into(data.point_at(i as usize), &mut r);
                 stats.merge(&r.stats);
                 if r.density >= min_pts {
                     cores.push(i);

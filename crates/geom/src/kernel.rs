@@ -45,7 +45,30 @@ pub const LANES: usize = 8;
 /// `q.len()` must equal `dim` (debug-asserted).
 // lint:hot
 #[inline]
-pub fn for_each_within(q: &[f64], centers: &[f64], dim: usize, eps2: f64, hit: impl FnMut(usize)) {
+pub fn for_each_within(
+    q: &[f64],
+    centers: &[f64],
+    dim: usize,
+    eps2: f64,
+    mut hit: impl FnMut(usize),
+) {
+    for_each_mask(q, centers, dim, eps2, |base, mask| {
+        for (l, &m) in mask.iter().enumerate() {
+            if m {
+                hit(base + l);
+            }
+        }
+    });
+}
+
+/// Invokes `f(base, mask)` for consecutive runs of candidates, in
+/// increasing order: `mask[l]` tells whether candidate `base + l` lies
+/// within `eps2` of `q`. Full chunks pass [`LANES`] entries, the tail
+/// fewer. Consumers that reduce the mask without branching (the weighted
+/// sums) avoid a mispredicted branch per candidate near the ε boundary.
+// lint:hot
+#[inline]
+fn for_each_mask(q: &[f64], centers: &[f64], dim: usize, eps2: f64, f: impl FnMut(usize, &[bool])) {
     debug_assert!(dim > 0, "zero-dimensional kernel scan");
     debug_assert_eq!(q.len(), dim, "query dimension mismatch in kernel scan");
     debug_assert_eq!(centers.len() % dim, 0, "ragged centre buffer");
@@ -54,29 +77,32 @@ pub fn for_each_within(q: &[f64], centers: &[f64], dim: usize, eps2: f64, hit: i
     // chunk loop and the sub-chunk tail. Identical per-candidate FP
     // order in every arm — see the bit-exactness contract above.
     match dim {
-        2 => scan_fixed::<2>(q, centers, eps2, hit),
-        3 => scan_fixed::<3>(q, centers, eps2, hit),
-        4 => scan_fixed::<4>(q, centers, eps2, hit),
-        _ => scan_dyn(q, centers, dim, eps2, hit),
+        2 => scan_fixed::<2>(q, centers, eps2, f),
+        3 => scan_fixed::<3>(q, centers, eps2, f),
+        4 => scan_fixed::<4>(q, centers, eps2, f),
+        _ => scan_dyn(q, centers, dim, eps2, f),
     }
 }
 
-/// [`for_each_within`] with the dimension known at compile time.
+/// [`for_each_mask`] with the dimension known at compile time.
 // lint:hot
 #[inline]
-fn scan_fixed<const DIM: usize>(q: &[f64], centers: &[f64], eps2: f64, mut hit: impl FnMut(usize)) {
+fn scan_fixed<const DIM: usize>(
+    q: &[f64],
+    centers: &[f64],
+    eps2: f64,
+    mut f: impl FnMut(usize, &[bool]),
+) {
     let n = centers.len() / DIM;
     let chunks = n / LANES;
     for c in 0..chunks {
         let base = c * LANES;
         let mask = chunk_mask_fixed::<DIM>(q, &centers[base * DIM..(base + LANES) * DIM], eps2);
-        for (l, &m) in mask.iter().enumerate() {
-            if m {
-                hit(base + l);
-            }
-        }
+        f(base, &mask);
     }
-    for k in chunks * LANES..n {
+    let base = chunks * LANES;
+    let mut mask = [false; LANES];
+    for (k, m) in (base..n).zip(mask.iter_mut()) {
         // Same squared-difference sum as `dist2`, increasing dimension
         // order, with a compile-time trip count.
         let mut acc = 0.0;
@@ -84,30 +110,30 @@ fn scan_fixed<const DIM: usize>(q: &[f64], centers: &[f64], eps2: f64, mut hit: 
             let d = q[a] - centers[k * DIM + a];
             acc += d * d;
         }
-        if acc <= eps2 {
-            hit(k);
-        }
+        *m = acc <= eps2;
+    }
+    if base < n {
+        f(base, &mask[..n - base]);
     }
 }
 
 // lint:hot
 #[inline]
-fn scan_dyn(q: &[f64], centers: &[f64], dim: usize, eps2: f64, mut hit: impl FnMut(usize)) {
+fn scan_dyn(q: &[f64], centers: &[f64], dim: usize, eps2: f64, mut f: impl FnMut(usize, &[bool])) {
     let n = centers.len() / dim;
     let chunks = n / LANES;
     for c in 0..chunks {
         let base = c * LANES;
         let mask = chunk_mask(q, &centers[base * dim..(base + LANES) * dim], dim, eps2);
-        for (l, &m) in mask.iter().enumerate() {
-            if m {
-                hit(base + l);
-            }
-        }
+        f(base, &mask);
     }
-    for k in chunks * LANES..n {
-        if dist2(q, &centers[k * dim..(k + 1) * dim]) <= eps2 {
-            hit(k);
-        }
+    let base = chunks * LANES;
+    let mut mask = [false; LANES];
+    for (k, m) in (base..n).zip(mask.iter_mut()) {
+        *m = dist2(q, &centers[k * dim..(k + 1) * dim]) <= eps2;
+    }
+    if base < n {
+        f(base, &mask[..n - base]);
     }
 }
 
@@ -117,7 +143,8 @@ fn scan_dyn(q: &[f64], centers: &[f64], dim: usize, eps2: f64, mut hit: impl FnM
 /// This is the region-query density reduction: `weights[k]` is the point
 /// count of sub-cell `k`, and the sum is the `(ε,ρ)`-region density
 /// contribution of the tested sub-cells. Integer sums are associative, so
-/// the chunked evaluation order cannot change the result.
+/// the chunked evaluation order cannot change the result, and the mask is
+/// folded in without a branch per candidate.
 // lint:hot
 #[inline]
 pub fn sum_within_u32(
@@ -134,9 +161,11 @@ pub fn sum_within_u32(
     );
     let mut hits = 0u32;
     let mut sum = 0u64;
-    for_each_within(q, centers, dim, eps2, |k| {
-        hits += 1;
-        sum += weights[k] as u64;
+    for_each_mask(q, centers, dim, eps2, |base, mask| {
+        for (&m, &w) in mask.iter().zip(&weights[base..]) {
+            hits += m as u32;
+            sum += w as u64 * m as u64;
+        }
     });
     (hits, sum)
 }
@@ -154,7 +183,11 @@ pub fn sum_within_u64(q: &[f64], centers: &[f64], dim: usize, eps2: f64, weights
         "weights/centres length mismatch"
     );
     let mut sum = 0u64;
-    for_each_within(q, centers, dim, eps2, |k| sum += weights[k]);
+    for_each_mask(q, centers, dim, eps2, |base, mask| {
+        for (&m, &w) in mask.iter().zip(&weights[base..]) {
+            sum += w * m as u64;
+        }
+    });
     sum
 }
 
@@ -312,6 +345,13 @@ mod tests {
                         any_within(&q, &centers, dim, eps2),
                         !expect.is_empty(),
                         "any_within diverged: dim={dim} n={n} eps2={eps2}"
+                    );
+                    let w: Vec<u32> = (0..n as u32).map(|k| 3 * k + 1).collect();
+                    let sum: u64 = expect.iter().map(|&k| w[k] as u64).sum();
+                    assert_eq!(
+                        sum_within_u32(&q, &centers, dim, eps2, &w),
+                        (expect.len() as u32, sum),
+                        "sum_within_u32 diverged: dim={dim} n={n} eps2={eps2}"
                     );
                 }
             }

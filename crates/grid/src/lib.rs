@@ -12,8 +12,8 @@
 //!   defragmentation (§4.2.2), each carrying an MBR (Definition 5.9) for
 //!   the skipping rule of Lemma 5.10 and a kd-tree over cell centres so an
 //!   `(ε,ρ)`-region query costs `O(log |cell|)` (Lemma 5.6);
-//! * [`DictionaryIndex::region_query`] — the `(ε,ρ)`-region query itself
-//!   (Definition 5.1).
+//! * [`DictionaryIndex::region_query_cells`] — the `(ε,ρ)`-region query
+//!   itself (Definition 5.1), read from the index's flat cell layout.
 //!
 //! The hash tables used throughout are keyed by integer lattice coordinates
 //! and use a local FxHash-style hasher ([`fxhash`]) because the default

@@ -12,11 +12,11 @@
 //!    `ε + diag/2` and every point lies inside the box).
 //! 2. **Cell- and sub-cell-level classification.** Each candidate cell is
 //!    classified by the box-to-box bounds of
-//!    [`GridSpec::cell_box_dist2_bounds`]: *never* (min² > ε² plus slack:
-//!    no point of the query cell can reach it — pruned from the plan
-//!    entirely) or *planned*. Within a planned cell, each sub-cell whose
-//!    centre is within ε of **every** point of the query cell box
-//!    (point-to-box max² ≤ ε² minus slack) is *always-qualifying*: its
+//!    [`crate::GridSpec::cell_box_dist2_bounds`]: *never* (min² > ε²
+//!    plus slack: no point of the query cell can reach it — pruned from
+//!    the plan entirely) or *planned*. Within a planned cell, each
+//!    sub-cell whose centre is within ε of **every** point of the query
+//!    cell box (point-to-box max² ≤ ε² minus slack) is *always-qualifying*: its
 //!    density is folded into a per-cell precomputed sum and it is never
 //!    distance-tested again. Note that an entire *cell* can never be
 //!    always-qualifying — the cell diagonal is exactly ε (Definition
@@ -24,11 +24,11 @@
 //!    but its *sub-cells* routinely are, because a sub-centre sits at
 //!    least `sub_side/2` inside the box, leaving a real margin.
 //! 3. **SoA centre layout.** The remaining *tested* sub-cell centres are
-//!    materialised into one flat `Vec<f64>` with parallel
-//!    `counts`/prefix arrays, so the per-point inner loop is a
-//!    branch-light linear scan over contiguous memory instead of
-//!    pointer-chasing `CellEntry::subs` and recomputing
-//!    `sub_center_into` per sub-cell per point.
+//!    copied into one flat `Vec<f64>` with parallel `counts`/prefix
+//!    arrays, so the per-point inner loop is a branch-light linear scan
+//!    over the plan's own cells only. The centres, counts and box origins
+//!    come from the [`DictionaryIndex`]'s flat layout, the one place
+//!    sub-cell centres are decoded; a build never touches a `CellEntry`.
 //!
 //! 4. **Dense cells.** The always-qualifying sums bound every point's
 //!    density from below ([`CellQueryPlan::density_floor`]). When the
@@ -41,8 +41,9 @@
 //! Classification uses a conservative relative slack ([`PLAN_SLACK`]):
 //! near the ε boundary a sub-cell stays in the tested set, where
 //! [`CellQueryPlan::query_into`] replicates the unplanned
-//! [`DictionaryIndex::region_query`] arithmetic bit for bit (same box
-//! origins, same bound formulas, same centre coordinates, same `dist2`).
+//! [`DictionaryIndex::region_query_cells_into`] arithmetic bit for bit
+//! (same box origins, same bound formulas, same centre coordinates, same
+//! distance kernel).
 //! Misclassification towards *tested* therefore costs a few extra
 //! per-point distance tests but can never change a result; the
 //! *always-qualifying* and *never* buckets only fire with a margin that
@@ -53,7 +54,8 @@
 
 use crate::cell::CellCoord;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::query::{QueryStats, RegionQueryResult};
+use crate::query::{box_dist2_bounds, QueryStats, RegionQueryResult};
+use crate::spec::box_box_dist2_bounds;
 use crate::subdict::DictionaryIndex;
 use rpdbscan_geom::kernel;
 
@@ -112,13 +114,12 @@ impl CellQueryPlan {
     /// Plans the region query for the cell at dictionary index `idx`.
     pub fn build(index: &DictionaryIndex, idx: u32) -> Self {
         let spec = index.spec();
-        let dict = index.dict();
+        let layout = index.layout();
         let dim = spec.dim();
         let eps = spec.eps();
         let eps2 = eps * eps;
         let side = spec.side();
-        let qcoord = dict.entry(idx).coord.clone();
-        let qlo = spec.cell_origin(&qcoord);
+        let qlo = layout.origin(idx);
         let qhi: Vec<f64> = qlo.iter().map(|v| v + side).collect();
         // Per-point searches use radius ε + diag/2 from a point inside the
         // box; ε + diag from the box itself is a strict superset with a
@@ -151,7 +152,7 @@ impl CellQueryPlan {
                 continue;
             }
             build_stats.subdicts_visited += 1;
-            sd.tree().for_each_near_box(&qlo, &qhi, kd_radius, |ci, _| {
+            sd.tree().for_each_near_box(qlo, &qhi, kd_radius, |ci, _| {
                 build_stats.cells_candidate += 1;
                 candidates.push(ci);
             });
@@ -160,62 +161,62 @@ impl CellQueryPlan {
         // sort so the plan layout is independent of fragmentation.
         candidates.sort_unstable();
 
+        // Size every array for the candidates up front: pruning only
+        // shrinks them, and a plan is built per planned cell.
+        let n = candidates.len();
+        let subs: usize = candidates.iter().map(|&ci| layout.subs(ci).1.len()).sum();
+        let mut sub_start = Vec::with_capacity(n + 1);
+        sub_start.push(0);
         let mut plan = Self {
             dim,
             eps2,
             side,
             own: idx,
-            cell_idx: Vec::new(),
-            lo: Vec::new(),
-            total: Vec::new(),
-            always_subs: Vec::new(),
-            always_total: Vec::new(),
-            sub_start: vec![0],
-            centers: Vec::new(),
-            counts: Vec::new(),
+            cell_idx: Vec::with_capacity(n),
+            lo: Vec::with_capacity(n * dim),
+            total: Vec::with_capacity(n),
+            always_subs: Vec::with_capacity(n),
+            always_total: Vec::with_capacity(n),
+            sub_start,
+            centers: Vec::with_capacity(subs * dim),
+            counts: Vec::with_capacity(subs),
             build_stats,
         };
         let never_bound = eps2 * (1.0 + PLAN_SLACK);
         let always_bound = eps2 * (1.0 - PLAN_SLACK);
-        let mut center = vec![0.0; dim];
-        let mut seg_centers: Vec<f64> = Vec::new();
-        let mut seg_counts: Vec<u32> = Vec::new();
         for ci in candidates {
-            let entry = dict.entry(ci);
-            let (min2, _) = spec.cell_box_dist2_bounds(&qcoord, &entry.coord);
+            let lo = layout.origin(ci);
+            let (min2, _) = box_box_dist2_bounds(qlo.iter().copied(), lo.iter().copied(), side);
             if min2 > never_bound {
                 continue; // *never*: out of reach for every point in the cell
             }
-            seg_centers.clear();
-            seg_counts.clear();
-            let mut total = 0u64;
+            let (centers, counts) = layout.subs(ci);
+            let seg_start = plan.counts.len();
             let mut n_always = 0u32;
             let mut t_always = 0u64;
-            for sub in &entry.subs {
-                spec.sub_center_into(&entry.coord, sub.idx, &mut center);
-                total += sub.count as u64;
+            for (center, &count) in centers.chunks_exact(dim).zip(counts) {
                 // Point-to-box bounds with the roles swapped: the
                 // nearest/farthest query-cell point from this centre.
-                let (cmin2, cmax2) = spec.cell_dist2_bounds(&qcoord, &center);
+                let (cmin2, cmax2) = box_dist2_bounds(qlo, side, center);
                 if cmin2 > never_bound {
                     // *never*: beyond ε of every query-cell point, so the
                     // per-point test can't hit — drop it from the tested
                     // SoA. (Such a centre also makes the full-containment
                     // branch unreachable for this cell: a point within ε
                     // of the whole cell box would be within ε of the
-                    // centre, contradicting this bound — so `total` is
-                    // still safe to report there.)
+                    // centre, contradicting this bound — so the cell's
+                    // total is still safe to report there.)
                     continue;
                 }
                 if cmax2 <= always_bound {
                     n_always += 1;
-                    t_always += sub.count as u64;
+                    t_always += count as u64;
                 } else {
-                    seg_centers.extend_from_slice(&center);
-                    seg_counts.push(sub.count);
+                    plan.centers.extend_from_slice(center);
+                    plan.counts.push(count);
                 }
             }
-            if n_always == 0 && seg_counts.is_empty() {
+            if n_always == 0 && plan.counts.len() == seg_start {
                 // Every occupied sub-cell was never-pruned: the cell can
                 // contribute nothing to any query point (its full-
                 // containment branch is unreachable by the argument
@@ -223,12 +224,8 @@ impl CellQueryPlan {
                 continue;
             }
             plan.cell_idx.push(ci);
-            for &c in entry.coord.coords() {
-                plan.lo.push(c as f64 * side);
-            }
-            plan.centers.extend_from_slice(&seg_centers);
-            plan.counts.extend_from_slice(&seg_counts);
-            plan.total.push(total);
+            plan.lo.extend_from_slice(lo);
+            plan.total.push(layout.total(ci));
             plan.always_subs.push(n_always);
             plan.always_total.push(t_always);
             plan.sub_start.push(plan.counts.len() as u32);
@@ -243,20 +240,7 @@ impl CellQueryPlan {
     // lint:hot
     #[inline]
     fn box_bounds(&self, j: usize, p: &[f64]) -> (f64, f64) {
-        let lo = &self.lo[j * self.dim..(j + 1) * self.dim];
-        let mut min_acc = 0.0;
-        let mut max_acc = 0.0;
-        for (&l, &v) in lo.iter().zip(p.iter()) {
-            let hi = l + self.side;
-            // Branch-free selection of the same values the branchy
-            // `cell_dist2_bounds` arms produce: `l - v` when the point is
-            // left of the box, `v - hi` right of it, else 0.
-            let dmin = (l - v).max(v - hi).max(0.0);
-            let dmax = (v - l).abs().max((v - hi).abs());
-            min_acc += dmin * dmin;
-            max_acc += dmax * dmax;
-        }
-        (min_acc, max_acc)
+        box_dist2_bounds(&self.lo[j * self.dim..(j + 1) * self.dim], self.side, p)
     }
 
     /// Planned cell `j`'s tested sub-cell range in `centers`/`counts`.
@@ -396,7 +380,7 @@ pub enum QueryRoute {
     /// [`CellQueryPlan::query_into`].
     Planned,
     /// Run each point through the per-point kd path
-    /// ([`DictionaryIndex::region_query_cells_scratch`]); the cell is too
+    /// ([`DictionaryIndex::region_query_cells_into`]); the cell is too
     /// sparse to amortise a plan build.
     Kd,
 }
@@ -407,11 +391,15 @@ pub enum QueryRoute {
 /// Building a [`CellQueryPlan`] is a fixed cost per cell — one kd search
 /// at radius `ε + diag` (sweeping `(4/3)^d` the volume of a per-point
 /// search, whose radius is `ε + diag/2`) plus a classification pass over
-/// the gathered candidates — while the steady-state planned query costs a
-/// measured ~0.15× of a kd point query (BENCH_query dense: 6.8×). The
-/// break-even occupancy is therefore `build_cost / 0.85` point queries;
-/// below it, planning is pure overhead (the historical 0.69× sparse
-/// regression). The model is **calibrated once per dictionary build** from
+/// the gathered candidates — while each planned query saves part of a kd
+/// point query. The break-even occupancy is taken as `build_cost / 0.85`
+/// point queries, the saving measured when a planned query cost ~0.15×
+/// of a kd one. Since kd queries read the index's flat layout, a planned
+/// query costs ~0.4–0.75× of a kd one (BENCH_query: dense 1.3×, builds
+/// included), so the formula overstates the saving; up to 6 dimensions
+/// the floor sets the threshold. Below break-even, planning is pure
+/// overhead: planning every cell of BENCH_query's sparse shape runs at
+/// 0.60×. The model is **calibrated once per dictionary build** from
 /// structural quantities only (dimension), with a conservative floor —
 /// deterministic, no clocks, so identical inputs always route
 /// identically.
@@ -431,7 +419,7 @@ impl PlannerCostModel {
     /// dimensional estimate predicts a lower break-even, cells must hold
     /// at least this many points before a plan is built. Keeps routing
     /// robustly on the kd path for sparse workloads (~3 points/cell)
-    /// where the planner measured 0.69×.
+    /// where the planner measures 0.60×.
     pub const MIN_OCCUPANCY_FLOOR: u32 = 8;
 
     /// Calibrates the model for one dictionary build.

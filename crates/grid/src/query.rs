@@ -12,9 +12,8 @@
 //!    cell contributes only sub-cells whose centre passes the distance
 //!    test.
 
-use crate::dictionary::SubCellEntry;
 use crate::subdict::DictionaryIndex;
-use rpdbscan_geom::dist2;
+use rpdbscan_geom::kernel;
 
 /// Instrumentation counters for one region query — used by the anatomy
 /// benches (§7.6) to demonstrate the effect of defragmentation and MBR
@@ -87,75 +86,31 @@ pub struct RegionQueryResult {
     pub stats: QueryStats,
 }
 
+/// Squared distance bounds `(min², max²)` from `p` to the cell box with
+/// minimum corner `lo` and side `side`. Bit-identical to
+/// [`crate::GridSpec::cell_dist2_bounds`] when `lo` holds the same
+/// `coord as f64 · side` origins: the same per-dimension values, squared
+/// and summed in dimension order.
+// lint:hot
+#[inline]
+pub(crate) fn box_dist2_bounds(lo: &[f64], side: f64, p: &[f64]) -> (f64, f64) {
+    debug_assert_eq!(lo.len(), p.len());
+    let mut min_acc = 0.0;
+    let mut max_acc = 0.0;
+    for (&l, &v) in lo.iter().zip(p.iter()) {
+        let hi = l + side;
+        // Branch-free selection of the same values the branchy
+        // `cell_dist2_bounds` arms produce: `l - v` when the point is
+        // left of the box, `v - hi` right of it, else 0.
+        let dmin = (l - v).max(v - hi).max(0.0);
+        let dmax = (v - l).abs().max((v - hi).abs());
+        min_acc += dmin * dmin;
+        max_acc += dmax * dmax;
+    }
+    (min_acc, max_acc)
+}
+
 impl DictionaryIndex {
-    /// Runs an `(ε,ρ)`-region query, invoking `visit(cell_idx, sub)` for
-    /// every qualifying sub-cell. Returns instrumentation counters.
-    pub fn region_query<F>(&self, p: &[f64], visit: F) -> QueryStats
-    where
-        F: FnMut(u32, &SubCellEntry),
-    {
-        let mut center = vec![0.0; self.spec().dim()];
-        self.region_query_scratch(p, &mut center, visit)
-    }
-
-    /// Scratch-threaded form of [`Self::region_query`]: the caller owns
-    /// the `dim`-sized centre buffer, so per-point callers (Phase II runs
-    /// one query per point) stay allocation-free across queries.
-    // lint:hot
-    pub fn region_query_scratch<F>(&self, p: &[f64], center: &mut [f64], mut visit: F) -> QueryStats
-    where
-        F: FnMut(u32, &SubCellEntry),
-    {
-        let spec = self.spec();
-        debug_assert_eq!(p.len(), spec.dim());
-        debug_assert_eq!(center.len(), spec.dim());
-        let eps = spec.eps();
-        let eps2 = eps * eps;
-        // A cell can hold a qualifying sub-cell centre only if its own
-        // centre lies within ε + diag/2 of p (centres sit inside cells).
-        let cell_radius = eps + spec.cell_diag() * 0.5;
-        let mut stats = QueryStats::default();
-
-        for sd in self.subdicts() {
-            if sd.mbr().lemma_5_10_skippable(p, eps) {
-                stats.subdicts_skipped += 1;
-                continue;
-            }
-            stats.subdicts_visited += 1;
-            sd.tree().for_each_within(p, cell_radius, |cell_idx, _| {
-                stats.cells_candidate += 1;
-                let entry = self.dict().entry(cell_idx);
-                let (min_d2, max_d2) = spec.cell_dist2_bounds(&entry.coord, p);
-                if min_d2 > eps2 {
-                    return; // cannot contain any qualifying centre
-                }
-                if max_d2 <= eps2 {
-                    // Fully contained: every sub-cell qualifies.
-                    stats.cells_full += 1;
-                    for sub in &entry.subs {
-                        stats.subcells_reported += 1;
-                        visit(cell_idx, sub);
-                    }
-                } else {
-                    // Partially contained: test each sub-cell centre.
-                    let mut any = false;
-                    for sub in &entry.subs {
-                        spec.sub_center_into(&entry.coord, sub.idx, center);
-                        if dist2(p, center) <= eps2 {
-                            stats.subcells_reported += 1;
-                            any = true;
-                            visit(cell_idx, sub);
-                        }
-                    }
-                    if any {
-                        stats.cells_partial += 1;
-                    }
-                }
-            });
-        }
-        stats
-    }
-
     /// Region query aggregated to the cell level: neighbour cells (each
     /// listed once) plus the total qualifying density.
     pub fn region_query_cells(&self, p: &[f64]) -> RegionQueryResult {
@@ -166,43 +121,63 @@ impl DictionaryIndex {
 
     /// Buffer-reusing form of [`Self::region_query_cells`]: clears and
     /// refills `result` so per-point callers (core marking runs one query
-    /// per point) avoid an allocation per query.
+    /// per point) reuse its buffers across queries.
+    ///
+    /// Candidates come from the fragment kd-trees in their visit order,
+    /// so `neighbor_cells` lists cells in that order; each candidate's
+    /// box and sub-cell centres are read from the index's flat layout.
+    // lint:hot
     pub fn region_query_cells_into(&self, p: &[f64], result: &mut RegionQueryResult) {
-        let mut center = vec![0.0; self.spec().dim()];
-        self.region_query_cells_scratch(p, result, &mut center);
-    }
-
-    /// Scratch-threaded form of [`Self::region_query_cells_into`]; see
-    /// [`Self::region_query_scratch`] for the buffer contract.
-    pub fn region_query_cells_scratch(
-        &self,
-        p: &[f64],
-        result: &mut RegionQueryResult,
-        center: &mut [f64],
-    ) {
-        result.neighbor_cells.clear();
-        result.density = 0;
-        let mut last: Option<u32> = None;
-        // Split borrows: the closure mutates fields, not the whole struct.
+        let spec = self.spec();
+        debug_assert_eq!(p.len(), spec.dim());
+        let dim = spec.dim();
+        let side = spec.side();
+        let eps = spec.eps();
+        let eps2 = eps * eps;
+        // A cell can hold a qualifying sub-cell centre only if its own
+        // centre lies within ε + diag/2 of p (centres sit inside cells).
+        let cell_radius = eps + spec.cell_diag() * 0.5;
+        let layout = self.layout();
+        let mut stats = QueryStats::default();
         let cells = &mut result.neighbor_cells;
         let density = &mut result.density;
-        let stats = self.region_query_scratch(p, center, |cell_idx, sub| {
-            *density += sub.count as u64;
-            // Sub-cells of one cell arrive contiguously, so dedup is a
-            // constant-time check against the previous id.
-            if last != Some(cell_idx) {
-                cells.push(cell_idx);
-                last = Some(cell_idx);
-            }
-        });
-        result.stats = stats;
-    }
+        cells.clear();
+        *density = 0;
 
-    /// Just the neighbour density of `p` (core test helper).
-    pub fn neighbor_density(&self, p: &[f64]) -> u64 {
-        let mut density = 0u64;
-        self.region_query(p, |_, sub| density += sub.count as u64);
-        density
+        for sd in self.subdicts() {
+            if sd.mbr().lemma_5_10_skippable(p, eps) {
+                stats.subdicts_skipped += 1;
+                continue;
+            }
+            stats.subdicts_visited += 1;
+            sd.tree().for_each_within(p, cell_radius, |cell_idx, _| {
+                stats.cells_candidate += 1;
+                let (min_d2, max_d2) = box_dist2_bounds(layout.origin(cell_idx), side, p);
+                if min_d2 > eps2 {
+                    return; // cannot contain any qualifying centre
+                }
+                let (centers, counts) = layout.subs(cell_idx);
+                if max_d2 <= eps2 {
+                    // Fully contained: every sub-cell qualifies.
+                    stats.cells_full += 1;
+                    if !counts.is_empty() {
+                        stats.subcells_reported += counts.len() as u32;
+                        *density += layout.total(cell_idx);
+                        cells.push(cell_idx);
+                    }
+                } else {
+                    // Partially contained: test each sub-cell centre.
+                    let (hits, sum) = kernel::sum_within_u32(p, centers, dim, eps2, counts);
+                    if hits > 0 {
+                        stats.cells_partial += 1;
+                        stats.subcells_reported += hits;
+                        *density += sum;
+                        cells.push(cell_idx);
+                    }
+                }
+            });
+        }
+        result.stats = stats;
     }
 }
 
@@ -213,7 +188,7 @@ mod tests {
     use crate::spec::GridSpec;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use rpdbscan_geom::dist;
+    use rpdbscan_geom::{dist, dist2};
 
     /// Brute-force reference: qualifying density = Σ counts of sub-cells
     /// whose centre is within eps of p, computed straight off the
@@ -241,6 +216,112 @@ mod tests {
         CellDictionary::build_from_points(GridSpec::new(dim, eps, rho).unwrap(), refs)
     }
 
+    /// The entry-decoding region query the flat layout replaced, kept as
+    /// an oracle: the same fragment kd-trees in the same order, but each
+    /// candidate read from its `CellEntry`, its bounds from
+    /// `cell_dist2_bounds` and every centre decoded by `sub_center_into`
+    /// and tested with scalar `dist2`.
+    fn decoded_query(idx: &DictionaryIndex, p: &[f64]) -> RegionQueryResult {
+        let spec = idx.spec();
+        let eps2 = spec.eps() * spec.eps();
+        let cell_radius = spec.eps() + spec.cell_diag() * 0.5;
+        let mut center = vec![0.0; spec.dim()];
+        let mut r = RegionQueryResult::default();
+        for sd in idx.subdicts() {
+            if sd.mbr().lemma_5_10_skippable(p, spec.eps()) {
+                r.stats.subdicts_skipped += 1;
+                continue;
+            }
+            r.stats.subdicts_visited += 1;
+            sd.tree().for_each_within(p, cell_radius, |ci, _| {
+                r.stats.cells_candidate += 1;
+                let entry = idx.dict().entry(ci);
+                let (min_d2, max_d2) = spec.cell_dist2_bounds(&entry.coord, p);
+                if min_d2 > eps2 {
+                    return;
+                }
+                let full = max_d2 <= eps2;
+                let mut hits = 0;
+                for sub in &entry.subs {
+                    spec.sub_center_into(&entry.coord, sub.idx, &mut center);
+                    if full || dist2(p, &center) <= eps2 {
+                        hits += 1;
+                        r.density += sub.count as u64;
+                    }
+                }
+                if full {
+                    r.stats.cells_full += 1;
+                } else if hits > 0 {
+                    r.stats.cells_partial += 1;
+                }
+                if hits > 0 {
+                    r.stats.subcells_reported += hits;
+                    r.neighbor_cells.push(ci);
+                }
+            });
+        }
+        r
+    }
+
+    /// Query points for `idx`: random ones around the data, and for each
+    /// of the first cells its lattice corner, its upper corner, a point
+    /// on its lower face along every axis and its first sub-cell centre.
+    fn oracle_queries(idx: &DictionaryIndex, rng: &mut StdRng) -> Vec<Vec<f64>> {
+        let spec = idx.spec();
+        let dim = spec.dim();
+        let side = spec.side();
+        let mut qs: Vec<Vec<f64>> = (0..40)
+            .map(|_| (0..dim).map(|_| rng.gen_range(-1.0..7.0)).collect())
+            .collect();
+        for entry in idx.dict().cells().iter().take(25) {
+            let lo = spec.cell_origin(&entry.coord);
+            qs.push(lo.clone());
+            qs.push(lo.iter().map(|v| v + side).collect());
+            for a in 0..dim {
+                let mut face: Vec<f64> = lo.iter().map(|v| v + rng.gen_range(0.0..side)).collect();
+                face[a] = lo[a];
+                qs.push(face);
+            }
+            qs.push(spec.sub_center(&entry.coord, entry.subs[0].idx));
+        }
+        qs
+    }
+
+    #[test]
+    fn flat_layout_matches_entry_decoding_oracle() {
+        let mut rng = StdRng::seed_from_u64(71);
+        let mut r = RegionQueryResult::default();
+        for dim in 1..=4 {
+            for rho in [1.0, 0.1, 0.01] {
+                let pts: Vec<Vec<f64>> = (0..300)
+                    .map(|_| (0..dim).map(|_| rng.gen_range(0.0..6.0)).collect())
+                    .collect();
+                let refs: Vec<&[f64]> = pts.iter().map(|p| p.as_slice()).collect();
+                let spec = GridSpec::new(dim, 0.9, rho).unwrap();
+                let dict = CellDictionary::build_from_points(spec, refs);
+                for cap in [1, 16, u64::MAX] {
+                    let idx = DictionaryIndex::new(dict.clone(), cap);
+                    for q in oracle_queries(&idx, &mut rng) {
+                        idx.region_query_cells_into(&q, &mut r);
+                        let want = decoded_query(&idx, &q);
+                        let at = format!("dim={dim} rho={rho} cap={cap} q={q:?}");
+                        assert_eq!(r.density, want.density, "{at}");
+                        assert_eq!(r.neighbor_cells, want.neighbor_cells, "{at}");
+                        assert_eq!(r.stats, want.stats, "{at}");
+                    }
+                }
+            }
+        }
+        // An empty dictionary: no fragments, nothing reported.
+        let spec = GridSpec::new(2, 0.9, 0.1).unwrap();
+        let idx = DictionaryIndex::new(CellDictionary::build_from_points(spec, []), 16);
+        idx.region_query_cells_into(&[0.0, 0.0], &mut r);
+        let want = decoded_query(&idx, &[0.0, 0.0]);
+        assert_eq!((r.density, r.stats), (0, QueryStats::default()));
+        assert!(r.neighbor_cells.is_empty());
+        assert_eq!((want.density, want.stats), (r.density, r.stats));
+    }
+
     #[test]
     fn query_matches_brute_force_2d() {
         let dict = random_dict(1, 800, 2, 0.9, 0.25);
@@ -248,7 +329,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..60 {
             let p = [rng.gen_range(-1.0..11.0), rng.gen_range(-1.0..11.0)];
-            assert_eq!(idx.neighbor_density(&p), brute_density(idx.dict(), &p));
+            assert_eq!(
+                idx.region_query_cells(&p).density,
+                brute_density(idx.dict(), &p)
+            );
         }
     }
 
@@ -261,7 +345,7 @@ mod tests {
             for _ in 0..30 {
                 let p: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..10.0)).collect();
                 assert_eq!(
-                    idx.neighbor_density(&p),
+                    idx.region_query_cells(&p).density,
                     brute_density(idx.dict(), &p),
                     "rho={rho}"
                 );
@@ -305,7 +389,7 @@ mod tests {
         let refs: Vec<&[f64]> = pts.iter().map(|p| p.as_slice()).collect();
         let dict = CellDictionary::build_from_points(spec, refs);
         let idx = DictionaryIndex::new(dict, 20);
-        let stats = idx.region_query(&[0.0, 0.0], |_, _| {});
+        let stats = idx.region_query_cells(&[0.0, 0.0]).stats;
         assert!(stats.subdicts_skipped > 0, "{stats:?}");
         assert!(stats.subdicts_visited > 0);
     }
@@ -327,7 +411,7 @@ mod tests {
         let idx = DictionaryIndex::new(dict, 256);
         for _ in 0..20 {
             let q = vec![rng.gen_range(0.0..5.0), rng.gen_range(0.0..5.0)];
-            let approx = idx.neighbor_density(&q);
+            let approx = idx.region_query_cells(&q).density;
             let lower = pts
                 .iter()
                 .filter(|p| dist(&q, p) <= (1.0 - rho / 2.0) * eps)
@@ -372,6 +456,6 @@ mod tests {
         let p = [3.3f64, 4.4];
         let dict = CellDictionary::build_from_points(spec, [p.as_slice()]);
         let idx = DictionaryIndex::single(dict);
-        assert_eq!(idx.neighbor_density(&p), 1);
+        assert_eq!(idx.region_query_cells(&p).density, 1);
     }
 }

@@ -262,25 +262,12 @@ impl GridSpec {
     #[inline]
     pub fn cell_box_dist2_bounds(&self, a: &CellCoord, b: &CellCoord) -> (f64, f64) {
         debug_assert_eq!(a.dim(), b.dim());
-        let mut min_acc = 0.0;
-        let mut max_acc = 0.0;
-        for (&x, &y) in a.coords().iter().zip(b.coords().iter()) {
-            let alo = x as f64 * self.side;
-            let ahi = alo + self.side;
-            let blo = y as f64 * self.side;
-            let bhi = blo + self.side;
-            let dmin = if ahi < blo {
-                blo - ahi
-            } else if bhi < alo {
-                alo - bhi
-            } else {
-                0.0
-            };
-            let dmax = (ahi - blo).max(bhi - alo);
-            min_acc += dmin * dmin;
-            max_acc += dmax * dmax;
-        }
-        (min_acc, max_acc)
+        let side = self.side;
+        box_box_dist2_bounds(
+            a.coords().iter().map(|&x| x as f64 * side),
+            b.coords().iter().map(|&y| y as f64 * side),
+            side,
+        )
     }
 
     /// Decomposes a packed sub-cell index into per-dimension locals.
@@ -291,6 +278,33 @@ impl GridSpec {
             .map(|i| ((sub.0 >> (i as u32 * bits)) & mask) as u32)
             .collect()
     }
+}
+
+/// [`GridSpec::cell_box_dist2_bounds`] over the two boxes' minimum
+/// corners, so callers holding origins (the query planner reads them from
+/// the index layout) share its arithmetic.
+#[inline]
+pub(crate) fn box_box_dist2_bounds(
+    alo: impl IntoIterator<Item = f64>,
+    blo: impl IntoIterator<Item = f64>,
+    side: f64,
+) -> (f64, f64) {
+    let mut min_acc = 0.0;
+    let mut max_acc = 0.0;
+    for (alo, blo) in alo.into_iter().zip(blo) {
+        let (ahi, bhi) = (alo + side, blo + side);
+        let dmin = if ahi < blo {
+            blo - ahi
+        } else if bhi < alo {
+            alo - bhi
+        } else {
+            0.0
+        };
+        let dmax = (ahi - blo).max(bhi - alo);
+        min_acc += dmin * dmin;
+        max_acc += dmax * dmax;
+    }
+    (min_acc, max_acc)
 }
 
 #[cfg(test)]

@@ -10,6 +10,15 @@
 //! 5.9) so region queries can skip irrelevant sub-dictionaries wholesale
 //! (Lemma 5.10), plus a kd-tree over its cell centres for the
 //! `O(log |cell|)` candidate search of Lemma 5.6.
+//!
+//! Next to the fragments the index keeps `CellLayout`, a flat copy of
+//! the dictionary in dictionary order: cell box origins, cell densities
+//! and every sub-cell's centre and count. Region queries and plan builds
+//! read candidates from it instead of chasing each [`CellEntry`]'s boxed
+//! coordinate and sub-cell list and decoding the packed sub-cell index of
+//! every centre they test.
+//!
+//! [`CellEntry`]: crate::dictionary::CellEntry
 
 use crate::dictionary::CellDictionary;
 use crate::spec::GridSpec;
@@ -75,12 +84,105 @@ impl SubDictionary {
     }
 }
 
+/// The dictionary in structure-of-arrays form, cells in dictionary
+/// order: what the query hot loops read (§5 region queries and
+/// [`crate::plan::CellQueryPlan`] builds).
+///
+/// Every value is the one the entry-based arithmetic produces: origins
+/// are `coord as f64 · side` as in [`GridSpec::cell_dist2_bounds`], and
+/// centres are [`GridSpec::sub_center_into`]'s output, so a query over
+/// the layout is bit-identical to one decoding [`CellDictionary`]
+/// entries. It costs `8·dim + 12` bytes per cell (origin, density,
+/// offset) and `8·dim + 4` per sub-cell (centre, count).
+#[derive(Debug, Clone)]
+pub(crate) struct CellLayout {
+    dim: usize,
+    /// Box origin per cell, `dim` values each.
+    origins: Vec<f64>,
+    /// Σ sub-cell densities per cell.
+    totals: Vec<u64>,
+    /// CSR offsets into `centers`/`counts` (`len = cells + 1`).
+    sub_start: Vec<u32>,
+    /// Sub-cell centres, `dim` values each, cells' sub-cells contiguous.
+    centers: Vec<f64>,
+    /// Sub-cell densities, parallel to `centers`.
+    counts: Vec<u32>,
+}
+
+impl CellLayout {
+    fn build(dict: &CellDictionary) -> Self {
+        let spec = dict.spec();
+        let dim = spec.dim();
+        let side = spec.side();
+        let subs = dict.num_sub_cells();
+        assert!(
+            u32::try_from(subs).is_ok(),
+            "{subs} sub-cells overflow the layout's u32 offsets"
+        );
+        let mut layout = Self {
+            dim,
+            origins: Vec::with_capacity(dict.num_cells() * dim),
+            totals: Vec::with_capacity(dict.num_cells()),
+            sub_start: Vec::with_capacity(dict.num_cells() + 1),
+            centers: vec![0.0; subs * dim],
+            counts: Vec::with_capacity(subs),
+        };
+        layout.sub_start.push(0);
+        for entry in dict.cells() {
+            layout
+                .origins
+                .extend(entry.coord.coords().iter().map(|&c| c as f64 * side));
+            let mut total = 0u64;
+            for sub in &entry.subs {
+                let k = layout.counts.len();
+                spec.sub_center_into(
+                    &entry.coord,
+                    sub.idx,
+                    &mut layout.centers[k * dim..(k + 1) * dim],
+                );
+                layout.counts.push(sub.count);
+                total += sub.count as u64;
+            }
+            layout.totals.push(total);
+            layout.sub_start.push(layout.counts.len() as u32);
+        }
+        layout
+    }
+
+    /// Cell `i`'s box origin (minimum corner).
+    #[inline]
+    pub(crate) fn origin(&self, i: u32) -> &[f64] {
+        let i = i as usize;
+        &self.origins[i * self.dim..(i + 1) * self.dim]
+    }
+
+    /// Cell `i`'s density (Σ of its sub-cell counts).
+    #[inline]
+    pub(crate) fn total(&self, i: u32) -> u64 {
+        self.totals[i as usize]
+    }
+
+    /// Cell `i`'s sub-cells: their centres (`dim` values each) and
+    /// counts.
+    #[inline]
+    pub(crate) fn subs(&self, i: u32) -> (&[f64], &[u32]) {
+        let i = i as usize;
+        let (a, b) = (self.sub_start[i] as usize, self.sub_start[i + 1] as usize);
+        (
+            &self.centers[a * self.dim..b * self.dim],
+            &self.counts[a..b],
+        )
+    }
+}
+
 /// The queryable form of a broadcast dictionary: defragmented
-/// sub-dictionaries with MBRs and per-fragment kd-trees.
+/// sub-dictionaries with MBRs and per-fragment kd-trees, plus the flat
+/// `CellLayout` the queries read.
 #[derive(Debug, Clone)]
 pub struct DictionaryIndex {
     dict: CellDictionary,
     subdicts: Vec<SubDictionary>,
+    layout: CellLayout,
 }
 
 impl DictionaryIndex {
@@ -109,7 +211,12 @@ impl DictionaryIndex {
                 .map(|ids| SubDictionary::build(&spec, &dict, ids))
                 .collect();
         }
-        Self { dict, subdicts }
+        let layout = CellLayout::build(&dict);
+        Self {
+            dict,
+            subdicts,
+            layout,
+        }
     }
 
     /// Ablation helper: a single un-defragmented sub-dictionary covering
@@ -145,6 +252,12 @@ impl DictionaryIndex {
     /// Number of fragments.
     pub fn num_subdicts(&self) -> usize {
         self.subdicts.len()
+    }
+
+    /// The flat query layout.
+    #[inline]
+    pub(crate) fn layout(&self) -> &CellLayout {
+        &self.layout
     }
 }
 

@@ -33,7 +33,7 @@ fn rho_one_queries_still_sandwich() {
     let dict = CellDictionary::build_from_points(spec, pts(&rows));
     let idx = DictionaryIndex::single(dict);
     let q = [4.5, 4.5];
-    let approx = idx.neighbor_density(&q);
+    let approx = idx.region_query_cells(&q).density;
     let count = |r: f64| {
         rows.iter()
             .filter(|p| rpdbscan_geom::dist(&q, p) <= r)
@@ -51,7 +51,7 @@ fn one_dimensional_grid() {
     let dict = CellDictionary::build_from_points(spec, pts(&rows));
     let idx = DictionaryIndex::new(dict, 8);
     // Point at 2.5 sees [2.0, 3.0]: 11 points, sub-cell error ±rho*eps/2.
-    let d = idx.neighbor_density(&[2.5]);
+    let d = idx.region_query_cells(&[2.5]).density;
     assert!((9..=13).contains(&d), "density {d}");
 }
 
@@ -61,9 +61,9 @@ fn negative_and_large_coordinates() {
     let rows = vec![vec![-1e7, -1e7], vec![-1e7 + 0.1, -1e7], vec![1e7, 1e7]];
     let dict = CellDictionary::build_from_points(spec, pts(&rows));
     let idx = DictionaryIndex::new(dict, 4);
-    assert_eq!(idx.neighbor_density(&[-1e7, -1e7]), 2);
-    assert_eq!(idx.neighbor_density(&[1e7, 1e7]), 1);
-    assert_eq!(idx.neighbor_density(&[0.0, 0.0]), 0);
+    assert_eq!(idx.region_query_cells(&[-1e7, -1e7]).density, 2);
+    assert_eq!(idx.region_query_cells(&[1e7, 1e7]).density, 1);
+    assert_eq!(idx.region_query_cells(&[0.0, 0.0]).density, 0);
 }
 
 #[test]
@@ -75,7 +75,7 @@ fn duplicate_points_accumulate_density() {
     assert_eq!(dict.num_sub_cells(), 1);
     assert_eq!(dict.total_points(), 250);
     let idx = DictionaryIndex::single(dict);
-    assert_eq!(idx.neighbor_density(&[3.0, 3.0]), 250);
+    assert_eq!(idx.region_query_cells(&[3.0, 3.0]).density, 250);
 }
 
 #[test]
@@ -87,7 +87,7 @@ fn query_stats_accounting_consistent() {
     let dict = CellDictionary::build_from_points(spec, pts(&rows));
     let idx = DictionaryIndex::new(dict, 16);
     let total_frags = idx.num_subdicts() as u32;
-    let stats = idx.region_query(&[5.0, 3.0], |_, _| {});
+    let stats = idx.region_query_cells(&[5.0, 3.0]).stats;
     assert_eq!(stats.subdicts_skipped + stats.subdicts_visited, total_frags);
     assert!(stats.cells_full + stats.cells_partial <= stats.cells_candidate);
 }

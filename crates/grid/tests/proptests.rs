@@ -72,7 +72,7 @@ proptest! {
         let refs: Vec<&[f64]> = pts.iter().map(|p| p.as_slice()).collect();
         let dict = CellDictionary::build_from_points(spec, refs);
         let idx = DictionaryIndex::new(dict, 32);
-        let approx = idx.neighbor_density(&q);
+        let approx = idx.region_query_cells(&q).density;
         let lower = pts.iter().filter(|p| dist(&q, p) <= (1.0 - rho / 2.0) * eps).count() as u64;
         let upper = pts.iter().filter(|p| dist(&q, p) <= (1.0 + rho / 2.0) * eps).count() as u64;
         prop_assert!(lower <= approx, "lower {lower} > approx {approx}");
@@ -92,6 +92,6 @@ proptest! {
         let dict = CellDictionary::build_from_points(spec, refs);
         let single = DictionaryIndex::single(dict.clone());
         let frag = DictionaryIndex::new(dict, cap);
-        prop_assert_eq!(single.neighbor_density(&q), frag.neighbor_density(&q));
+        prop_assert_eq!(single.region_query_cells(&q).density, frag.region_query_cells(&q).density);
     }
 }
