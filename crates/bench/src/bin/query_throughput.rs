@@ -24,7 +24,9 @@
 //! cross-checked, so a divergence fails loudly — and the routed path is
 //! **gated**: the run aborts if routed speedup drops below 1.0× on
 //! either shape, which is what makes the bench-smoke CI job fail on a
-//! routing regression.
+//! routing regression. Each repeat times all three paths, alternating
+//! which runs first; a speedup is the median over repeats of the paired
+//! per-repeat time ratios, so one noisy repeat cannot decide the gate.
 //!
 //! Results land in `BENCH_query.json` (plus the usual CSV under
 //! `target/experiments/`).
@@ -139,65 +141,59 @@ fn bench_shape(
         .filter(|c| model.route(c.points.len()) == QueryRoute::Planned)
         .count();
 
-    // Min-of-repeats with the three paths interleaved per repeat, so
-    // drift (frequency scaling, cache state) hits all paths alike and
-    // the min is a stable floor for the routed ≥ 1.0× gate.
+    // The three paths run interleaved per repeat, in reverse order every
+    // other repeat, so drift (frequency scaling, cache state) and
+    // whichever path runs first hit all paths alike. Speedups are the
+    // median over repeats of the paired per-repeat ratios — the statistic
+    // the routed ≥ 1.0× gate reads — and `seconds` is the min.
     let mut r = RegionQueryResult::default();
-    let mut best = [f64::INFINITY; 3]; // unplanned, planned, routed
+    let mut times = vec![[0.0f64; 3]; repeats]; // unplanned, planned, routed
     let mut density = [0u64; 3];
-    for _ in 0..repeats {
-        // Unplanned: the per-point kd path, result buffer reused as
-        // Phase II runs it.
-        let t0 = Instant::now(); // lint:allow(determinism-time): wall-clock timing is printed for the user, not fed into clustering results
-        let mut d = 0u64;
-        for cell in &cells {
-            for &pid in &cell.points {
-                index.region_query_cells_into(data.point(pid), &mut r);
-                d += r.density;
-            }
-        }
-        best[0] = best[0].min(t0.elapsed().as_secs_f64());
-        density[0] = d;
-
-        // Planned: build each cell's plan unconditionally (build time
-        // included — that is the real Phase II cost).
-        let t0 = Instant::now(); // lint:allow(determinism-time): wall-clock timing is printed for the user, not fed into clustering results
-        let mut d = 0u64;
-        for cell in &cells {
-            let idx = index.dict().index_of(&cell.coord).expect("occupied cell");
-            let plan = CellQueryPlan::build(&index, idx);
-            for &pid in &cell.points {
-                plan.query_into(data.point(pid), &mut r);
-                d += r.density;
-            }
-        }
-        best[1] = best[1].min(t0.elapsed().as_secs_f64());
-        density[1] = d;
-
-        // Routed: the production path — the cost model picks per cell.
-        let t0 = Instant::now(); // lint:allow(determinism-time): wall-clock timing is printed for the user, not fed into clustering results
-        let mut d = 0u64;
-        for cell in &cells {
-            match model.route(cell.points.len()) {
-                QueryRoute::Planned => {
+    for (rep, t) in times.iter_mut().enumerate() {
+        let order = if rep % 2 == 0 { [0, 1, 2] } else { [2, 1, 0] };
+        for path in order {
+            let t0 = Instant::now(); // lint:allow(determinism-time): wall-clock timing is printed for the user, not fed into clustering results
+            let mut d = 0u64;
+            for cell in &cells {
+                // Unplanned runs the per-point kd path, result buffer
+                // reused as Phase II runs it; planned builds each cell's
+                // plan unconditionally (build time included — that is the
+                // real Phase II cost); routed is the production path,
+                // where the cost model picks per cell.
+                let planned = match path {
+                    0 => false,
+                    1 => true,
+                    _ => model.route(cell.points.len()) == QueryRoute::Planned,
+                };
+                if planned {
                     let idx = index.dict().index_of(&cell.coord).expect("occupied cell");
                     let plan = CellQueryPlan::build(&index, idx);
                     for &pid in &cell.points {
                         plan.query_into(data.point(pid), &mut r);
                         d += r.density;
                     }
-                }
-                QueryRoute::Kd => {
+                } else {
                     for &pid in &cell.points {
                         index.region_query_cells_into(data.point(pid), &mut r);
                         d += r.density;
                     }
                 }
             }
+            t[path] = t0.elapsed().as_secs_f64();
+            density[path] = d;
         }
-        best[2] = best[2].min(t0.elapsed().as_secs_f64());
-        density[2] = d;
     }
+    let best = |path: usize| times.iter().map(|t| t[path]).fold(f64::INFINITY, f64::min);
+    let speedup = |path: usize| {
+        let mut ratios: Vec<f64> = times.iter().map(|t| t[0] / t[path]).collect();
+        ratios.sort_unstable_by(f64::total_cmp);
+        let mid = ratios.len() / 2;
+        if ratios.len() % 2 == 1 {
+            ratios[mid]
+        } else {
+            (ratios[mid - 1] + ratios[mid]) / 2.0
+        }
+    };
 
     assert_eq!(
         density[1], density[0],
@@ -208,25 +204,25 @@ fn bench_shape(
         "{shape}: routed path diverged from the oracle"
     );
 
-    let row = |path: &str, seconds: f64, planned: usize, kd: usize| QueryRow {
+    let row = |name: &str, path: usize, planned: usize, kd: usize| QueryRow {
         shape: shape.to_string(),
-        path: path.to_string(),
+        path: name.to_string(),
         points: n,
         cells: n_cells,
         points_per_cell: n as f64 / n_cells as f64,
-        seconds,
-        qps: n as f64 / seconds,
-        ns_per_point: seconds * 1e9 / n as f64,
-        speedup_vs_unplanned: best[0] / seconds,
+        seconds: best(path),
+        qps: n as f64 / best(path),
+        ns_per_point: best(path) * 1e9 / n as f64,
+        speedup_vs_unplanned: speedup(path),
         cells_planned: planned,
         cells_kd: kd,
     };
     let rows = vec![
-        row("unplanned", best[0], 0, n_cells),
-        row("planned", best[1], n_cells, 0),
+        row("unplanned", 0, 0, n_cells),
+        row("planned", 1, n_cells, 0),
         row(
             "routed",
-            best[2],
+            2,
             cells_routed_planned,
             n_cells - cells_routed_planned,
         ),

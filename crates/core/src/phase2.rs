@@ -155,7 +155,7 @@ impl LocalBuilder {
                     .or_default()
                     .extend_from_slice(ids);
                 self.types.push((cell_idx, CellType::Core));
-                plan.successors_into(rows, &mut self.neighbors);
+                plan.successors_into(cell_idx, rows, &mut self.neighbors);
                 self.edges
                     .extend(self.neighbors.iter().map(|&nc| (cell_idx, nc)));
                 return Ok(());

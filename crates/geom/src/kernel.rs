@@ -170,27 +170,6 @@ pub fn sum_within_u32(
     (hits, sum)
 }
 
-/// Sums the `u64` weights of candidates within `eps2` of `q`.
-///
-/// Same reduction as [`sum_within_u32`] for callers whose counts are
-/// already widened (the serving layer's sub-cell records).
-// lint:hot
-#[inline]
-pub fn sum_within_u64(q: &[f64], centers: &[f64], dim: usize, eps2: f64, weights: &[u64]) -> u64 {
-    debug_assert_eq!(
-        centers.len(),
-        weights.len() * dim,
-        "weights/centres length mismatch"
-    );
-    let mut sum = 0u64;
-    for_each_mask(q, centers, dim, eps2, |base, mask| {
-        for (&m, &w) in mask.iter().zip(&weights[base..]) {
-            sum += w * m as u64;
-        }
-    });
-    sum
-}
-
 /// Returns `true` if any candidate lies within `eps2` of `q`.
 ///
 /// Scans chunk-at-a-time and exits after the first chunk containing a hit;
@@ -375,21 +354,18 @@ mod tests {
         let centers = synth(n, dim, 9);
         let q = synth(1, dim, 4);
         let w32: Vec<u32> = (0..n as u32).map(|i| i * 3 + 1).collect();
-        let w64: Vec<u64> = w32.iter().map(|&w| w as u64 * 7).collect();
         let eps2 = 40.0;
         let hits = scalar_hits(&q, &centers, dim, eps2);
         let expect32: u64 = hits.iter().map(|&k| w32[k] as u64).sum();
-        let expect64: u64 = hits.iter().map(|&k| w64[k]).sum();
         assert_eq!(
             sum_within_u32(&q, &centers, dim, eps2, &w32),
             (hits.len() as u32, expect32)
         );
-        assert_eq!(sum_within_u64(&q, &centers, dim, eps2, &w64), expect64);
     }
 
     #[test]
     fn empty_buffer_is_a_no_op() {
         assert!(!any_within(&[0.5], &[], 1, f64::INFINITY));
-        assert_eq!(sum_within_u64(&[0.5], &[], 1, f64::INFINITY, &[]), 0);
+        assert_eq!(sum_within_u32(&[0.5], &[], 1, f64::INFINITY, &[]), (0, 0));
     }
 }

@@ -33,7 +33,10 @@ pub mod subdict;
 pub use cell::{for_each_in_box, CellCoord, SubCellIdx};
 pub use dictionary::{CellDictionary, CellEntry, DecodeError, SubCellEntry};
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use plan::{CellQueryPlan, PlanCache, PlanCacheStats, PlannerCostModel, QueryRoute};
+pub use plan::{
+    CellQueryPlan, PlanCache, PlanCacheStats, PlanCandidate, PlannerCostModel, QueryRoute,
+    PLAN_SLACK,
+};
 pub use query::{QueryStats, RegionQueryResult};
 pub use spec::GridSpec;
 pub use subdict::DictionaryIndex;

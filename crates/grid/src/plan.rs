@@ -9,7 +9,11 @@
 //! 1. **Candidate search once per cell.** The kd-trees are searched once
 //!    from the query cell's box with radius `ε + diag` — a guaranteed
 //!    superset of every per-point search (per-point radius is
-//!    `ε + diag/2` and every point lies inside the box).
+//!    `ε + diag/2` and every point lies inside the box). This gather is
+//!    [`CellQueryPlan::build`]'s alone: the steps below live in
+//!    [`CellQueryPlan::from_candidates`], which takes any candidate list
+//!    meeting the candidate contract of DESIGN §9 (serving's classify
+//!    feeds it the cell's lattice window).
 //! 2. **Cell- and sub-cell-level classification.** Each candidate cell is
 //!    classified by the box-to-box bounds of
 //!    [`crate::GridSpec::cell_box_dist2_bounds`]: *never* (min² > ε²
@@ -26,9 +30,10 @@
 //! 3. **SoA centre layout.** The remaining *tested* sub-cell centres are
 //!    copied into one flat `Vec<f64>` with parallel `counts`/prefix
 //!    arrays, so the per-point inner loop is a branch-light linear scan
-//!    over the plan's own cells only. The centres, counts and box origins
-//!    come from the [`DictionaryIndex`]'s flat layout, the one place
-//!    sub-cell centres are decoded; a build never touches a `CellEntry`.
+//!    over the plan's own cells only. In Phase II the centres, counts and
+//!    box origins come from the [`DictionaryIndex`]'s flat layout, the one
+//!    place sub-cell centres are decoded; a build never touches a
+//!    `CellEntry`.
 //!
 //! 4. **Dense cells.** The always-qualifying sums bound every point's
 //!    density from below ([`CellQueryPlan::density_floor`]). When the
@@ -40,7 +45,8 @@
 //!
 //! Classification uses a conservative relative slack ([`PLAN_SLACK`]):
 //! near the ε boundary a sub-cell stays in the tested set, where
-//! [`CellQueryPlan::query_into`] replicates the unplanned
+//! [`CellQueryPlan::query_into`] (and [`CellQueryPlan::density`], the
+//! same per-point walk without the neighbour list) replicates the unplanned
 //! [`DictionaryIndex::region_query_cells_into`] arithmetic bit for bit
 //! (same box origins, same bound formulas, same centre coordinates, same
 //! distance kernel).
@@ -55,7 +61,7 @@
 use crate::cell::CellCoord;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::query::{box_dist2_bounds, QueryStats, RegionQueryResult};
-use crate::spec::box_box_dist2_bounds;
+use crate::spec::{box_box_dist2_bounds, GridSpec};
 use crate::subdict::DictionaryIndex;
 use rpdbscan_geom::kernel;
 
@@ -70,10 +76,28 @@ use rpdbscan_geom::kernel;
 /// arithmetic is replicated exactly.
 pub const PLAN_SLACK: f64 = 1e-9;
 
-/// A memoized `(ε,ρ)`-region query plan for one occupied cell.
+/// One candidate cell handed to [`CellQueryPlan::from_candidates`]; the
+/// fields are the candidate contract of DESIGN §9.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanCandidate<'a> {
+    /// Reported back in `neighbor_cells` when the cell is reached.
+    pub id: u32,
+    /// Box origin, `coord · side` per dimension — the arithmetic of
+    /// [`GridSpec::cell_dist2_bounds`].
+    pub origin: &'a [f64],
+    /// Occupied sub-cell centres, `dim` values each.
+    pub centers: &'a [f64],
+    /// Sub-cell point counts, parallel to `centers`.
+    pub counts: &'a [u32],
+    /// Σ `counts`: the density of a fully contained cell.
+    pub total: u64,
+}
+
+/// A memoized `(ε,ρ)`-region query plan for one cell.
 ///
-/// Build once per cell with [`CellQueryPlan::build`], then answer every
-/// point of that cell through [`CellQueryPlan::query_into`]. Results are
+/// Build once per cell with [`CellQueryPlan::build`] (or
+/// [`CellQueryPlan::from_candidates`]), then answer every point of that
+/// cell through [`CellQueryPlan::query_into`]. Results are
 /// identical to [`DictionaryIndex::region_query_cells`] (density,
 /// neighbour-cell set, and the `cells_full`/`cells_partial`/
 /// `subcells_reported` counters); only candidate/sub-dictionary counters
@@ -84,9 +108,8 @@ pub struct CellQueryPlan {
     dim: usize,
     eps2: f64,
     side: f64,
-    /// Dictionary index of the planned (query) cell itself.
-    own: u32,
-    /// Planned cells: dictionary index per cell.
+    /// Planned cells: candidate id per cell (a dictionary index in
+    /// Phase II).
     cell_idx: Vec<u32>,
     /// Planned cells: box origin per cell, `dim` values each, computed
     /// exactly as `cell_dist2_bounds` does (`coord · side`).
@@ -111,21 +134,22 @@ pub struct CellQueryPlan {
 }
 
 impl CellQueryPlan {
-    /// Plans the region query for the cell at dictionary index `idx`.
+    /// Plans the region query for the cell at dictionary index `idx`:
+    /// gathers its candidates from the fragment kd-trees, then classifies
+    /// them through [`Self::from_candidates`].
     pub fn build(index: &DictionaryIndex, idx: u32) -> Self {
         let spec = index.spec();
         let layout = index.layout();
         let dim = spec.dim();
-        let eps = spec.eps();
-        let eps2 = eps * eps;
+        let eps2 = spec.eps() * spec.eps();
         let side = spec.side();
         let qlo = layout.origin(idx);
         let qhi: Vec<f64> = qlo.iter().map(|v| v + side).collect();
         // Per-point searches use radius ε + diag/2 from a point inside the
         // box; ε + diag from the box itself is a strict superset with a
         // diag/2 safety margin, so no float edge can lose a candidate.
-        let kd_radius = eps + spec.cell_diag();
-        let mut build_stats = QueryStats {
+        let kd_radius = spec.eps() + spec.cell_diag();
+        let mut stats = QueryStats {
             plans_built: 1,
             ..QueryStats::default()
         };
@@ -148,12 +172,12 @@ impl CellQueryPlan {
                 mbr_min2 += g * g;
             }
             if mbr_min2 > eps2 * (1.0 + PLAN_SLACK) {
-                build_stats.subdicts_skipped += 1;
+                stats.subdicts_skipped += 1;
                 continue;
             }
-            build_stats.subdicts_visited += 1;
+            stats.subdicts_visited += 1;
             sd.tree().for_each_near_box(qlo, &qhi, kd_radius, |ci, _| {
-                build_stats.cells_candidate += 1;
+                stats.cells_candidate += 1;
                 candidates.push(ci);
             });
         }
@@ -161,17 +185,51 @@ impl CellQueryPlan {
         // sort so the plan layout is independent of fragmentation.
         candidates.sort_unstable();
 
+        let mut plan = Self::from_candidates(
+            spec,
+            qlo,
+            candidates.iter().map(|&ci| {
+                let (centers, counts) = layout.subs(ci);
+                PlanCandidate {
+                    id: ci,
+                    origin: layout.origin(ci),
+                    centers,
+                    counts,
+                    total: layout.total(ci),
+                }
+            }),
+        );
+        plan.build_stats = stats;
+        plan
+    }
+
+    /// Plans the region query for the cell whose box starts at `origin`
+    /// from an explicit candidate list — the one never/always/tested
+    /// classifier. `candidates` must meet the candidate contract
+    /// (DESIGN §9): box origins computed as `coord · side`, every cell
+    /// whose box may lie within ε of the query box present once, in any
+    /// order (order only sets the order of reported neighbour cells).
+    /// The iterator is walked twice: once to size the plan, once to fill
+    /// it.
+    pub fn from_candidates<'a, I>(spec: &GridSpec, origin: &[f64], candidates: I) -> Self
+    where
+        I: Iterator<Item = PlanCandidate<'a>> + Clone,
+    {
+        let dim = spec.dim();
+        let eps2 = spec.eps() * spec.eps();
+        let side = spec.side();
+        debug_assert_eq!(origin.len(), dim);
         // Size every array for the candidates up front: pruning only
         // shrinks them, and a plan is built per planned cell.
-        let n = candidates.len();
-        let subs: usize = candidates.iter().map(|&ci| layout.subs(ci).1.len()).sum();
+        let (n, subs) = candidates
+            .clone()
+            .fold((0, 0), |(n, subs), c| (n + 1, subs + c.counts.len()));
         let mut sub_start = Vec::with_capacity(n + 1);
         sub_start.push(0);
         let mut plan = Self {
             dim,
             eps2,
             side,
-            own: idx,
             cell_idx: Vec::with_capacity(n),
             lo: Vec::with_capacity(n * dim),
             total: Vec::with_capacity(n),
@@ -180,24 +238,27 @@ impl CellQueryPlan {
             sub_start,
             centers: Vec::with_capacity(subs * dim),
             counts: Vec::with_capacity(subs),
-            build_stats,
+            build_stats: QueryStats {
+                plans_built: 1,
+                ..QueryStats::default()
+            },
         };
         let never_bound = eps2 * (1.0 + PLAN_SLACK);
         let always_bound = eps2 * (1.0 - PLAN_SLACK);
-        for ci in candidates {
-            let lo = layout.origin(ci);
-            let (min2, _) = box_box_dist2_bounds(qlo.iter().copied(), lo.iter().copied(), side);
+        for c in candidates {
+            debug_assert_eq!(c.centers.len(), c.counts.len() * dim);
+            let (min2, _) =
+                box_box_dist2_bounds(origin.iter().copied(), c.origin.iter().copied(), side);
             if min2 > never_bound {
                 continue; // *never*: out of reach for every point in the cell
             }
-            let (centers, counts) = layout.subs(ci);
             let seg_start = plan.counts.len();
             let mut n_always = 0u32;
             let mut t_always = 0u64;
-            for (center, &count) in centers.chunks_exact(dim).zip(counts) {
+            for (center, &count) in c.centers.chunks_exact(dim).zip(c.counts) {
                 // Point-to-box bounds with the roles swapped: the
                 // nearest/farthest query-cell point from this centre.
-                let (cmin2, cmax2) = box_dist2_bounds(qlo, side, center);
+                let (cmin2, cmax2) = box_dist2_bounds(origin, side, center);
                 if cmin2 > never_bound {
                     // *never*: beyond ε of every query-cell point, so the
                     // per-point test can't hit — drop it from the tested
@@ -223,19 +284,29 @@ impl CellQueryPlan {
                 // above), so it earns no slot in the per-point loop.
                 continue;
             }
-            plan.cell_idx.push(ci);
-            plan.lo.extend_from_slice(lo);
-            plan.total.push(layout.total(ci));
+            plan.cell_idx.push(c.id);
+            plan.lo.extend_from_slice(c.origin);
+            plan.total.push(c.total);
             plan.always_subs.push(n_always);
             plan.always_total.push(t_always);
             plan.sub_start.push(plan.counts.len() as u32);
         }
+        // Serving caches its plans (~16k per generation), so give back the
+        // capacity pruning left unused; a shrinking realloc is in place.
+        plan.cell_idx.shrink_to_fit();
+        plan.lo.shrink_to_fit();
+        plan.total.shrink_to_fit();
+        plan.always_subs.shrink_to_fit();
+        plan.always_total.shrink_to_fit();
+        plan.sub_start.shrink_to_fit();
+        plan.centers.shrink_to_fit();
+        plan.counts.shrink_to_fit();
         plan
     }
 
     /// Squared distance bounds `(min², max²)` from `p` to planned cell
     /// `j`'s box, bit-identical to `GridSpec::cell_dist2_bounds` (same
-    /// origins, same formulas). Shared by [`Self::query_into`] and
+    /// origins, same formulas). Shared by the per-point walk and
     /// [`Self::successors_into`] so the two paths cannot drift.
     // lint:hot
     #[inline]
@@ -249,60 +320,88 @@ impl CellQueryPlan {
         self.sub_start[j] as usize..self.sub_start[j + 1] as usize
     }
 
-    /// Answers the region query for `p` (a point of the planned cell),
-    /// clearing and refilling `result` exactly like
-    /// [`DictionaryIndex::region_query_cells_into`].
+    /// The per-point walk both query entry points share: box bounds per
+    /// planned cell, then the full-containment total or the
+    /// always-qualifying sum plus the kernel over the tested centres.
+    /// Calls `reached(j, reported)` for every planned cell `j` the bounds
+    /// admit — `reported` is `None` when the cell is fully contained,
+    /// else the number of its sub-cells within ε — and returns the
+    /// density.
     // lint:hot
-    pub fn query_into(&self, p: &[f64], result: &mut RegionQueryResult) {
+    #[inline(always)]
+    fn walk(&self, p: &[f64], mut reached: impl FnMut(usize, Option<u32>)) -> u64 {
         debug_assert_eq!(p.len(), self.dim);
-        result.neighbor_cells.clear();
-        result.density = 0;
-        let mut stats = QueryStats {
-            plan_hits: 1,
-            cells_candidate: self.cell_idx.len() as u32,
-            ..QueryStats::default()
-        };
         let eps2 = self.eps2;
         let dim = self.dim;
+        let mut density = 0u64;
         for j in 0..self.cell_idx.len() {
             let (min_acc, max_acc) = self.box_bounds(j, p);
             if min_acc > eps2 {
                 continue; // cannot contain any qualifying centre
             }
-            let tested = self.tested(j);
             if max_acc <= eps2 {
                 // Fully contained for this particular point: every
                 // sub-cell qualifies, tested or not.
-                stats.cells_full += 1;
-                stats.subcells_reported += self.always_subs[j] + tested.len() as u32;
-                result.density += self.total[j];
-                result.neighbor_cells.push(self.cell_idx[j]);
+                density += self.total[j];
+                reached(j, None);
             } else {
                 // Always-qualifying sub-cells need no distance test; the
                 // rest is the shared chunked kernel over the flattened
                 // SoA centres — bit-identical to a scalar `dist2` scan
                 // (see `rpdbscan_geom::kernel`).
+                let tested = self.tested(j);
                 let (hits, tested_density) = kernel::sum_within_u32(
                     p,
                     &self.centers[tested.start * dim..tested.end * dim],
                     dim,
                     eps2,
-                    &self.counts[tested.clone()],
+                    &self.counts[tested],
                 );
-                let reported = self.always_subs[j] + hits;
-                result.density += self.always_total[j] + tested_density;
-                if reported > 0 {
-                    stats.cells_partial += 1;
-                    stats.subcells_reported += reported;
-                    result.neighbor_cells.push(self.cell_idx[j]);
-                    if tested.is_empty() {
-                        // Answered purely from precomputed data.
-                        stats.cells_planned_full += 1;
-                    }
-                }
+                density += self.always_total[j] + tested_density;
+                reached(j, Some(self.always_subs[j] + hits));
             }
         }
+        density
+    }
+
+    /// Answers the region query for `p` (a point of the planned cell),
+    /// clearing and refilling `result` exactly like
+    /// [`DictionaryIndex::region_query_cells_into`].
+    // lint:hot
+    pub fn query_into(&self, p: &[f64], result: &mut RegionQueryResult) {
+        result.neighbor_cells.clear();
+        let mut stats = QueryStats {
+            plan_hits: 1,
+            cells_candidate: self.cell_idx.len() as u32,
+            ..QueryStats::default()
+        };
+        let neighbors = &mut result.neighbor_cells;
+        result.density = self.walk(p, |j, reported| match reported {
+            None => {
+                stats.cells_full += 1;
+                stats.subcells_reported += self.always_subs[j] + self.tested(j).len() as u32;
+                neighbors.push(self.cell_idx[j]);
+            }
+            Some(0) => {}
+            Some(reported) => {
+                stats.cells_partial += 1;
+                stats.subcells_reported += reported;
+                neighbors.push(self.cell_idx[j]);
+                if self.tested(j).is_empty() {
+                    // Answered purely from precomputed data.
+                    stats.cells_planned_full += 1;
+                }
+            }
+        });
         result.stats = stats;
+    }
+
+    /// The region-query density of `p` (a point of the planned cell):
+    /// the `density` [`Self::query_into`] reports, without the neighbour
+    /// list or counters — the density half of serving's classify.
+    // lint:hot
+    pub fn density(&self, p: &[f64]) -> u64 {
+        self.walk(p, |_, _| {})
     }
 
     /// A lower bound on the region-query density of **every** point of
@@ -316,9 +415,10 @@ impl CellQueryPlan {
         self.always_total.iter().sum()
     }
 
-    /// Appends to `out`, in ascending dictionary order, every planned cell
-    /// other than the own cell that some row of `rows` (the cell's points,
-    /// row-major) reaches — the sorted, deduplicated union of the
+    /// Appends to `out`, in candidate order (ascending dictionary order
+    /// for a plan from [`Self::build`]), every planned cell other than
+    /// `own` (the planned cell's own id) that some row of `rows` (the
+    /// cell's points, row-major) reaches — the sorted, deduplicated union of the
     /// `neighbor_cells` that [`Self::query_into`] would report over those
     /// rows, without the per-point density sums.
     ///
@@ -327,12 +427,12 @@ impl CellQueryPlan {
     /// admit the cell and that either contains the whole cell within ε
     /// or has one of its tested centres within ε.
     // lint:hot
-    pub fn successors_into(&self, rows: &[f64], out: &mut Vec<u32>) {
+    pub fn successors_into(&self, own: u32, rows: &[f64], out: &mut Vec<u32>) {
         debug_assert_eq!(rows.len() % self.dim, 0, "ragged row buffer");
         let eps2 = self.eps2;
         let dim = self.dim;
         for (j, &cj) in self.cell_idx.iter().enumerate() {
-            if cj == self.own {
+            if cj == own {
                 continue;
             }
             let reached = self.always_subs[j] > 0 || {

@@ -246,6 +246,16 @@ impl GridSpec {
         acc
     }
 
+    /// Whether cell `b`'s box may lie within ε of cell `a`'s box: the
+    /// ε-window test of serving's classify candidates and the stream's
+    /// dirty region. The bound carries [`crate::PLAN_SLACK`], so rounding
+    /// can never drop a cell on the boundary; a cell kept by the slack
+    /// alone costs a test, never a result.
+    #[inline]
+    pub fn in_eps_window(&self, a: &CellCoord, b: &CellCoord) -> bool {
+        self.cell_min_dist2(a, b) <= self.eps * self.eps * (1.0 + crate::PLAN_SLACK)
+    }
+
     /// Squared distance bounds between the boxes of two cells:
     /// `(min², max²)` over all point pairs `(p, q)` with `p` in `a`'s box
     /// and `q` in `b`'s box.

@@ -123,18 +123,15 @@ impl PlanLru {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpdbscan_grid::{CellQueryPlan, GridSpec};
 
     fn plan() -> Arc<CellPlan> {
         // An empty plan is enough to exercise the cache mechanics.
+        let spec = GridSpec::new(2, 1.0, 0.5).unwrap();
         Arc::new(CellPlan {
             home: None,
             sources: Vec::new(),
-            d_lo: Vec::new(),
-            d_total: Vec::new(),
-            d_always: Vec::new(),
-            d_sub_start: vec![0],
-            d_centers: Vec::new(),
-            d_counts: Vec::new(),
+            density: CellQueryPlan::from_candidates(&spec, &[0.0, 0.0], std::iter::empty()),
         })
     }
 

@@ -3,9 +3,9 @@
 //! A [`ServingIndex`] is a frozen read-optimised copy of one clustering
 //! epoch. Cells are hash-partitioned into `K` shards; each shard holds
 //! its cells' records — cluster label, sorted predecessor core cells,
-//! flat core-point coordinates, and a structure-of-arrays copy of the
-//! sub-cell centres and densities (the same SoA layout the Phase II
-//! query planner uses) — plus the point-id → label rows routed to it.
+//! flat core-point coordinates, and the cell's box origin, sub-cell
+//! centres and `u32` sub-cell counts (the candidate fields the Phase II
+//! query planner takes) — plus the point-id → label rows routed to it.
 //!
 //! Label resolution in [`ServingIndex::classify`] reproduces Phase III
 //! exactly (Algorithm 4, Lines 10–23): a query in a core cell takes the
@@ -16,25 +16,21 @@
 //! stored labels bit for bit. A query in an unoccupied cell (a
 //! coordinate the clustering never saw) falls back to every core cell
 //! whose box is within ε, still visited in coordinate order.
+//!
+//! The density half of a classify is Phase II's own
+//! [`CellQueryPlan`], built by [`CellQueryPlan::from_candidates`] from
+//! the cell's lattice window: the never/always/tested classification
+//! and the per-point walk exist once, in `rpdbscan_grid::plan`.
 
 use crate::patch::{stream_cells, DirtyCell, LabelRows, PatchSummary};
 use crate::ServeError;
 use rpdbscan_core::{CellExport, RpDbscanOutput};
 use rpdbscan_geom::{dist2, kernel, Dataset};
-use rpdbscan_grid::{for_each_in_box, CellCoord, CellDictionary, FxHashMap, GridSpec};
+use rpdbscan_grid::{
+    for_each_in_box, CellCoord, CellDictionary, CellQueryPlan, FxHashMap, GridSpec, PlanCandidate,
+};
 use rpdbscan_stream::StreamingRpDbscan;
 use std::sync::Arc;
-
-/// Relative slack on squared-distance cell bounds, absorbing the
-/// round-off of `side = eps/√d`. It is applied in both conservative
-/// directions: candidate cells are kept when their box is within
-/// `ε²(1+EPS_SLACK)` (boundary cells are never missed), and plan-time
-/// resolution only fires with a margin (`never` above `ε²(1+EPS_SLACK)`,
-/// `always` below `ε²(1−EPS_SLACK)`) — anything in doubt stays on the
-/// tested list, where the per-query arithmetic replicates the scalar
-/// oracle bit for bit. Same value and argument as
-/// `rpdbscan_grid::plan::PLAN_SLACK`.
-pub(crate) const EPS_SLACK: f64 = 1e-9;
 
 /// Per-cluster size summary served by [`ServingIndex::cluster_stats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,22 +63,12 @@ pub struct Classification {
 /// records.
 pub(crate) type CellRef = (u32, u32);
 
-/// A memoised classify plan for one grid cell: every shard lookup a
-/// query landing in the cell will need, resolved once, plus the
-/// plan-time half of the density estimate. Plans are bound to the
+/// A memoised classify plan for one grid cell: the shard lookups of the
+/// label half, resolved once, and the density half as Phase II's own
+/// [`CellQueryPlan`] over the cell's ε-window. Plans are bound to the
 /// generation of the index that built them — the server's LRU drops
-/// them on hot-swap.
-///
-/// The density candidates are resolved the same way the Phase II
-/// [`CellQueryPlan`](rpdbscan_grid::CellQueryPlan) resolves them: a
-/// candidate cell whose box is farther than ε from every point of the
-/// home cell is pruned (*never*), a sub-cell centre within ε of every
-/// point of the home cell is folded into a per-cell precomputed sum
-/// (*always*), and everything near the boundary stays *tested*, where
-/// [`ServingIndex::classify_with`] replicates the scalar oracle's
-/// arithmetic exactly — same box origins, same bound formulas, same
-/// centre coordinates, same `dist2` order — through the shared chunked
-/// kernel ([`rpdbscan_geom::kernel`]).
+/// them on hot-swap, or carries them over a patch that left their
+/// window untouched.
 #[derive(Debug, Clone)]
 pub struct CellPlan {
     /// The query's own cell, when occupied.
@@ -92,47 +78,10 @@ pub struct CellPlan {
     /// occupied non-core cell, or the ε-window core cells when the home
     /// cell is unoccupied. Empty when the home cell is core.
     pub(crate) sources: Vec<CellRef>,
-    /// Planned density cells: box origin per cell (`dim` values each,
-    /// computed exactly as `cell_dist2_bounds` does: `coord · side`).
-    pub(crate) d_lo: Vec<f64>,
-    /// Planned density cells: total point count (full-containment case).
-    pub(crate) d_total: Vec<u64>,
-    /// Planned density cells: Σ counts of the always-qualifying
-    /// sub-cells — added without a distance test whenever the cell is
-    /// partially contained.
-    pub(crate) d_always: Vec<u64>,
-    /// Prefix offsets into `d_centers`/`d_counts` for each planned
-    /// cell's tested sub-cells (`len = cells + 1`).
-    pub(crate) d_sub_start: Vec<u32>,
-    /// Tested sub-cell centres, SoA: `dim` values per sub-cell.
-    pub(crate) d_centers: Vec<f64>,
-    /// Tested sub-cell densities, parallel to `d_centers`.
-    pub(crate) d_counts: Vec<u64>,
-}
-
-impl CellPlan {
-    /// Number of per-query cell lookups the plan resolved (label source
-    /// cells plus surviving density cells).
-    pub fn num_candidates(&self) -> usize {
-        self.sources.len() + self.d_total.len()
-    }
-
-    /// Number of sub-cell centres left for per-query distance tests.
-    pub fn num_tested_subcells(&self) -> usize {
-        self.d_counts.len()
-    }
-
-    /// Number of label source cells a non-core-home query scans (0 when
-    /// the home cell is core — the label needs no per-point checks).
-    pub fn num_sources(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Number of candidate cells surviving the plan-time never-prune in
-    /// the density half.
-    pub fn num_planned_cells(&self) -> usize {
-        self.d_total.len()
-    }
+    /// The density half: the window's cells classified never / always /
+    /// tested by [`CellQueryPlan::from_candidates`], answered per query
+    /// by [`CellQueryPlan::density`].
+    pub(crate) density: CellQueryPlan,
 }
 
 /// One cell's frozen record. Records sit behind `Arc` so an incremental
@@ -147,10 +96,14 @@ pub(crate) struct CellRecord {
     pub(crate) preds: Vec<CellCoord>,
     /// Flat coordinates of the cell's core points.
     pub(crate) core: Vec<f64>,
-    /// SoA sub-cell centres (`dim` values per sub-cell).
+    /// The cell's box origin, `coord · side` per dimension.
+    pub(crate) origin: Vec<f64>,
+    /// SoA sub-cell centres (`dim` values per sub-cell). With per-shard
+    /// copy-on-write there is no global dictionary layout to read them
+    /// from, so the records are the index's only store of sub-cells.
     pub(crate) sub_centers: Vec<f64>,
     /// Sub-cell densities, parallel to `sub_centers`.
-    pub(crate) sub_counts: Vec<u64>,
+    pub(crate) sub_counts: Vec<u32>,
     /// Total points in the cell (= sum of `sub_counts`).
     pub(crate) count: u64,
 }
@@ -195,9 +148,9 @@ pub(crate) struct LabelShard {
 
 impl CellRecord {
     /// Freezes one exported cell into a record, materialising the cell's
-    /// sub-cells from `dict` into the SoA layout the classify kernel
-    /// consumes. The one record constructor, called by the shard patch
-    /// that every build goes through.
+    /// sub-cells from `dict` into the SoA layout a plan's candidates
+    /// take. The one record constructor, called by the shard patch that
+    /// every build goes through.
     /// `scratch` must hold `dim` slots.
     pub(crate) fn new(export: CellExport, dict: &CellDictionary, scratch: &mut [f64]) -> Self {
         let spec = dict.spec();
@@ -210,10 +163,11 @@ impl CellRecord {
         for sub in subs {
             spec.sub_center_into(&export.coord, sub.idx, scratch);
             sub_centers.extend_from_slice(scratch);
-            sub_counts.push(u64::from(sub.count));
+            sub_counts.push(sub.count);
             count += u64::from(sub.count);
         }
         CellRecord {
+            origin: spec.cell_origin(&export.coord),
             coord: export.coord,
             cluster: export.cluster,
             preds: export.preds,
@@ -221,6 +175,17 @@ impl CellRecord {
             sub_centers,
             sub_counts,
             count,
+        }
+    }
+
+    /// This record as candidate `id` of a density plan.
+    fn candidate(&self, id: u32) -> PlanCandidate<'_> {
+        PlanCandidate {
+            id,
+            origin: &self.origin,
+            centers: &self.sub_centers,
+            counts: &self.sub_counts,
+            total: self.count,
         }
     }
 }
@@ -474,14 +439,15 @@ impl ServingIndex {
     }
 
     /// Builds the classify plan for one grid cell: resolves every shard
-    /// lookup a query landing in `coord` will need and precomputes the
-    /// plan-time half of the density estimate (never-pruned cells,
-    /// always-qualifying sub-cell sums, tested sub-centre SoA). Plans
-    /// are pure functions of the index, so the server memoises them per
-    /// cell — and pre-populates them at publish time.
+    /// lookup of the label half a query landing in `coord` will need, and
+    /// builds the density half from the cell's ε-window through the
+    /// Phase II classifier. Serving reads densities only, so window
+    /// candidates are numbered by position. Plans are pure functions of
+    /// the index, so the server memoises them per cell — and
+    /// pre-populates them at publish time.
     pub fn plan_for(&self, coord: &CellCoord) -> CellPlan {
         let home = self.find_cell(coord);
-        let candidates = self.window_candidates(coord);
+        let window = self.window_candidates(coord);
         let sources = match home {
             // Core home cell: the label is the cell's cluster, no
             // per-point checks needed.
@@ -497,75 +463,24 @@ impl ServingIndex {
             // Unoccupied cell (a coordinate the clustering never saw):
             // fall back to every core cell within ε, coordinate-sorted —
             // the same candidates Phase II's region query would visit.
-            None => candidates
+            None => window
                 .iter()
                 .copied()
                 .filter(|&c| self.record(c).cluster.is_some())
                 .collect(),
         };
-        let dim = self.spec.dim();
-        let side = self.spec.side();
-        let never_bound = self.eps2 * (1.0 + EPS_SLACK);
-        let always_bound = self.eps2 * (1.0 - EPS_SLACK);
-        let mut plan = CellPlan {
+        let density = CellQueryPlan::from_candidates(
+            &self.spec,
+            &self.spec.cell_origin(coord),
+            (0u32..)
+                .zip(&window)
+                .map(|(i, &c)| self.record(c).candidate(i)),
+        );
+        CellPlan {
             home,
             sources,
-            d_lo: Vec::new(),
-            d_total: Vec::new(),
-            d_always: Vec::new(),
-            d_sub_start: vec![0],
-            d_centers: Vec::new(),
-            d_counts: Vec::new(),
-        };
-        let mut seg_centers: Vec<f64> = Vec::new();
-        let mut seg_counts: Vec<u64> = Vec::new();
-        for &c in &candidates {
-            let rec = self.record(c);
-            let (min2, _) = self.spec.cell_box_dist2_bounds(coord, &rec.coord);
-            if min2 > never_bound {
-                // *never*: out of reach for every query point in `coord`.
-                continue;
-            }
-            seg_centers.clear();
-            seg_counts.clear();
-            let mut t_always = 0u64;
-            for (center, &n) in rec.sub_centers.chunks_exact(dim).zip(rec.sub_counts.iter()) {
-                // Point-to-box bounds with the roles swapped: the
-                // nearest/farthest point of `coord`'s box to this centre.
-                let (cmin2, cmax2) = self.spec.cell_dist2_bounds(coord, center);
-                if cmin2 > never_bound {
-                    // *never*: beyond ε of every query in the home box —
-                    // the per-query test can't hit, so drop it from the
-                    // tested SoA. Its presence also makes the cell's
-                    // full-containment branch unreachable (a query within
-                    // ε of the whole cell box would be within ε of this
-                    // centre), so `d_total` stays safe to report there.
-                    continue;
-                }
-                if cmax2 <= always_bound {
-                    t_always += n;
-                } else {
-                    seg_centers.extend_from_slice(center);
-                    seg_counts.push(n);
-                }
-            }
-            if t_always == 0 && seg_counts.is_empty() {
-                // Every occupied sub-cell was never-pruned: the cell can
-                // contribute nothing to any query in `coord` (its
-                // full-containment branch is unreachable by the argument
-                // above), so it earns no slot in the per-query loop.
-                continue;
-            }
-            for &cc in rec.coord.coords() {
-                plan.d_lo.push(cc as f64 * side);
-            }
-            plan.d_total.push(rec.count);
-            plan.d_centers.extend_from_slice(&seg_centers);
-            plan.d_counts.extend_from_slice(&seg_counts);
-            plan.d_always.push(t_always);
-            plan.d_sub_start.push(plan.d_counts.len() as u32);
+            density,
         }
-        plan
     }
 
     /// Occupied cells whose box is within ε of `coord`'s box, in
@@ -574,7 +489,6 @@ impl ServingIndex {
     /// subsystem's dirty-region fallback for high dimensions.
     fn window_candidates(&self, coord: &CellCoord) -> Vec<CellRef> {
         let dim = self.spec.dim();
-        let bound = self.eps2 * (1.0 + EPS_SLACK);
         let b = self.spec.window_reach();
         let width = (2 * b + 1) as usize;
         let box_cost = width.checked_pow(dim as u32);
@@ -587,7 +501,7 @@ impl ServingIndex {
             let mut out = Vec::new();
             for_each_in_box(&lo, &hi, |p| {
                 let cc = CellCoord::new(p.iter().copied());
-                if self.spec.cell_min_dist2(coord, &cc) <= bound {
+                if self.spec.in_eps_window(coord, &cc) {
                     if let Some(r) = self.find_cell(&cc) {
                         out.push(r);
                     }
@@ -601,7 +515,7 @@ impl ServingIndex {
             for (s, shard) in self.shards.iter().enumerate() {
                 for (r, rec) in shard.records.iter().enumerate() {
                     let Some(rec) = rec else { continue };
-                    if self.spec.cell_min_dist2(coord, &rec.coord) <= bound {
+                    if self.spec.in_eps_window(coord, &rec.coord) {
                         hits.push((rec.coord.clone(), (s as u32, r as u32)));
                     }
                 }
@@ -628,8 +542,8 @@ impl ServingIndex {
     /// Results are bit-identical to [`Self::classify_oracle`]: the label
     /// scan only changes *which* core point proves a source cell (the
     /// winning cell, and hence the label, is the same), and the density
-    /// arithmetic replicates the oracle's per-query bounds and `dist2`
-    /// expressions exactly, summing the same `u64` terms.
+    /// is the plan's per-point walk, whose bounds and `dist2` expressions
+    /// replicate the oracle's exactly and sum the same integer terms.
     // lint:hot
     pub fn classify_with(&self, plan: &CellPlan, q: &[f64]) -> Result<Classification, ServeError> {
         self.validate(q)?;
@@ -653,46 +567,7 @@ impl ServingIndex {
                 label
             }
         };
-        let side = self.spec.side();
-        let mut density = 0u64;
-        for j in 0..plan.d_total.len() {
-            // Per-query box bounds, bit-identical to
-            // `GridSpec::cell_dist2_bounds` (same origins, same formulas).
-            let lo = &plan.d_lo[j * dim..(j + 1) * dim];
-            let mut min_acc = 0.0;
-            let mut max_acc = 0.0;
-            for (&l, &v) in lo.iter().zip(q.iter()) {
-                let hi = l + side;
-                // Branch-free selection of the same values the branchy
-                // `cell_dist2_bounds` arms produce: `l - v` when the
-                // query is left of the box, `v - hi` right of it, else 0.
-                let dmin = (l - v).max(v - hi).max(0.0);
-                let dmax = (v - l).abs().max((v - hi).abs());
-                min_acc += dmin * dmin;
-                max_acc += dmax * dmax;
-            }
-            if min_acc > eps2 {
-                continue;
-            }
-            if max_acc <= eps2 {
-                // Fully contained cell: every sub-cell counts.
-                density += plan.d_total[j];
-            } else {
-                // Partially contained: the always-qualifying sub-cells
-                // were summed at plan time; the tested remainder runs
-                // through the shared chunked kernel over the SoA centres.
-                let start = plan.d_sub_start[j] as usize;
-                let end = plan.d_sub_start[j + 1] as usize;
-                density += plan.d_always[j]
-                    + kernel::sum_within_u64(
-                        q,
-                        &plan.d_centers[start * dim..end * dim],
-                        dim,
-                        eps2,
-                        &plan.d_counts[start..end],
-                    );
-            }
-        }
+        let density = plan.density.density(q);
         Ok(Classification { label, density })
     }
 
@@ -751,7 +626,7 @@ impl ServingIndex {
                     .zip(rec.sub_counts.iter())
                 {
                     if dist2(center, q) <= self.eps2 {
-                        density += n;
+                        density += u64::from(n);
                     }
                 }
             }

@@ -20,11 +20,13 @@
 //! per-record rescan is needed here).
 //!
 //! Row stability is what makes the plan-cache carry-over sound: a
-//! [`CellPlan`](crate::CellPlan) only references cells within ε of its
-//! home cell, so a plan whose ε-window contains no dirty cell resolves
-//! against the patched index exactly as it did against the base — the
-//! [`PatchSummary`] exports that window (`invalidates`) and the server
-//! carries everything outside it.
+//! [`CellPlan`](crate::CellPlan) is a function of the cells within ε of
+//! its home cell only. Its density half copies their sub-cells out of
+//! the records, and its label half keeps their `CellRef`s, so a plan
+//! whose ε-window contains no dirty cell answers against the patched
+//! index exactly as it did against the base — the [`PatchSummary`]
+//! exports that window (`invalidates`) and the server carries
+//! everything outside it.
 
 use crate::index::{fnv64, shard_of_cell, shard_of_point};
 use crate::index::{CellRecord, ClusterStats, LabelShard, ServingIndex, Shard};

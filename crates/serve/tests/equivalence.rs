@@ -108,17 +108,18 @@ fn classify_matches_streaming_snapshot_exactly() {
 
 #[test]
 fn planned_classify_matches_scalar_oracle_bit_for_bit() {
-    // The planned path (plan-time never/always resolution + chunked
-    // kernel) must reproduce the scalar reference *exactly* — label and
-    // density — on indexed points, perturbed probes, and probes into
-    // unoccupied space.
-    for dim in 1..=3usize {
-        for rho in [1.0, 0.1] {
+    // The planned path (Phase II's plan built from the lattice window +
+    // chunked kernel) must reproduce the scalar reference *exactly* —
+    // label and density — on indexed points, perturbed probes, probes
+    // exactly on lattice corners and cell faces, probes in unoccupied
+    // cells next to a blob, and far empty space. Dim 4 sends the window
+    // through its table-scan branch.
+    for dim in 1..=4usize {
+        for rho in [1.0, 0.1, 0.01] {
             let rows = test_rows(dim);
             let data = Dataset::from_rows(dim, &rows).unwrap();
             let params = RpDbscanParams::new(1.0, 5).with_rho(rho);
             let out = RpDbscan::new(params).unwrap().run_local(&data).unwrap();
-            let index = ServingIndex::from_batch(&data, &out, 4, 1).unwrap();
             let mut probes: Vec<Vec<f64>> = rows.clone();
             probes.extend(rows.iter().map(|r| {
                 let mut p = r.clone();
@@ -127,10 +128,43 @@ fn planned_classify_matches_scalar_oracle_bit_for_bit() {
             }));
             probes.push(vec![1.3; dim]); // unoccupied cell near blob 1
             probes.push(vec![123.4; dim]); // far empty space
-            for q in &probes {
-                let planned = index.classify(q).unwrap();
-                let oracle = index.classify_oracle(q).unwrap();
-                assert_eq!(planned, oracle, "dim={dim} rho={rho} q={q:?}");
+            for shards in [1usize, 4] {
+                let index = ServingIndex::from_batch(&data, &out, shards, 1).unwrap();
+                let spec = index.spec().clone();
+                let side = spec.side();
+                let occupied: std::collections::HashSet<_> =
+                    rows.iter().map(|r| spec.cell_of(r)).collect();
+                let mut probes = probes.clone();
+                // Around both blob centres: every lattice corner (an
+                // integer multiple of `side` per axis), a point on a face
+                // of each cell, and the centre of each unoccupied cell.
+                let mut c2 = vec![3.0; dim];
+                c2[0] = 9.0;
+                for centre in [vec![0.0; dim], c2] {
+                    let home = spec.cell_of(&centre);
+                    let lo: Vec<i64> = home.coords().iter().map(|&c| c - 2).collect();
+                    let hi: Vec<i64> = home.coords().iter().map(|&c| c + 2).collect();
+                    rpdbscan_grid::for_each_in_box(&lo, &hi, |k| {
+                        let corner: Vec<f64> = k.iter().map(|&c| c as f64 * side).collect();
+                        let mut face = corner.clone();
+                        for v in face.iter_mut().skip(1) {
+                            *v += 0.37 * side;
+                        }
+                        probes.push(corner);
+                        probes.push(face);
+                        if !occupied.contains(&rpdbscan_grid::CellCoord::new(k.iter().copied())) {
+                            probes.push(k.iter().map(|&c| (c as f64 + 0.5) * side).collect());
+                        }
+                    });
+                }
+                for q in &probes {
+                    let planned = index.classify(q).unwrap();
+                    let oracle = index.classify_oracle(q).unwrap();
+                    assert_eq!(
+                        planned, oracle,
+                        "dim={dim} rho={rho} shards={shards} q={q:?}"
+                    );
+                }
             }
         }
     }

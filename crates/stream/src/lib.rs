@@ -902,13 +902,11 @@ impl StreamingRpDbscan {
     /// (box-to-box) of a changed cell, paired with the changed cells
     /// within ε of it (the sources of its density deltas). Uses lattice
     /// box enumeration when the `(2B+1)^d` window is smaller than a scan
-    /// over all occupied cells, the scan otherwise; both apply the exact
-    /// `cell_min_dist2 ≤ ε²` test, so the result is identical.
+    /// over all occupied cells, the scan otherwise; both apply the same
+    /// [`GridSpec::in_eps_window`] test, so the result is identical. Its
+    /// slack keeps boundary cells: repairing an unaffected cell is a
+    /// no-op, missing an affected one is a correctness bug.
     fn dirty_region(&self, changed: &[CellCoord]) -> Vec<(CellCoord, Vec<CellCoord>)> {
-        let eps2 = self.spec.eps() * self.spec.eps();
-        // Slightly inflated bound: repairing an unaffected cell is a
-        // no-op, missing an affected one is a correctness bug.
-        let eps2_bound = eps2 * (1.0 + 1e-9);
         let mut dirty: FxHashMap<CellCoord, Vec<CellCoord>> = FxHashMap::default();
         let mut pair = |changed: &CellCoord, occupied: CellCoord| {
             dirty.entry(occupied).or_default().push(changed.clone());
@@ -924,9 +922,7 @@ impl StreamingRpDbscan {
                     let hi: Vec<i64> = c.coords().iter().map(|&x| x + b).collect();
                     for_each_in_box(&lo, &hi, |p| {
                         let cand = CellCoord::new(p.iter().copied());
-                        if self.cells.contains_key(&cand)
-                            && self.spec.cell_min_dist2(c, &cand) <= eps2_bound
-                        {
+                        if self.cells.contains_key(&cand) && self.spec.in_eps_window(c, &cand) {
                             pair(c, cand);
                         }
                     });
@@ -936,7 +932,7 @@ impl StreamingRpDbscan {
                 // lint:allow(unordered-iter): pairs accumulate into dirty, whose values and keys are both sorted before use below
                 for cand in self.cells.keys() {
                     for c in changed {
-                        if self.spec.cell_min_dist2(c, cand) <= eps2_bound {
+                        if self.spec.in_eps_window(c, cand) {
                             pair(c, cand.clone());
                         }
                     }
