@@ -64,7 +64,7 @@ fn main() {
                 cells: dict.num_cells(),
                 subcells: dict.num_sub_cells(),
                 dict_bytes,
-                wire_bytes: dict.encode().len() as u64,
+                wire_bytes: dict.encoded_len() as u64,
                 data_bytes,
                 percent_of_data: pct,
             });
@@ -98,7 +98,7 @@ fn main() {
                 cells: dict.num_cells(),
                 subcells: dict.num_sub_cells(),
                 dict_bytes: dict.size_bytes(),
-                wire_bytes: dict.encode().len() as u64,
+                wire_bytes: dict.encoded_len() as u64,
                 data_bytes,
                 percent_of_data: pct,
             });

@@ -45,11 +45,14 @@ pub struct RunStats {
     pub noise_points: usize,
     /// Partitions used.
     pub num_partitions: usize,
-    /// Aggregated region-query counters.
+    /// Aggregated region-query counters. Phase II runs no per-point
+    /// query in a window-path or dense cell, and a plan build visits no
+    /// sub-dictionary, so on the default routing these stay zero.
     pub query_subdicts_skipped: u64,
-    /// Aggregated region-query counters.
+    /// See [`Self::query_subdicts_skipped`].
     pub query_subdicts_visited: u64,
-    /// Aggregated region-query counters.
+    /// Candidate cells: each plan build adds its gathered ε-window, and
+    /// each per-point or planned query the cells it considered.
     pub query_cells_candidate: u64,
     /// Phase II cell query plans built (one per partition cell the cost
     /// model routed through the planner).
@@ -66,8 +69,8 @@ pub struct RunStats {
     /// Partition cells the cost model routed through the memoized
     /// planner (occupancy at or above the break-even threshold).
     pub query_cells_routed_planned: u64,
-    /// Partition cells the cost model routed through the per-point kd
-    /// path.
+    /// Partition cells the cost model routed past the planner, each
+    /// answered from its gathered ε-window with no per-point query.
     pub query_cells_routed_kd: u64,
     /// The cost model's break-even occupancy for this run — cells below
     /// it can never be planned (calibrated once per dictionary build).
@@ -254,7 +257,7 @@ impl RpDbscan {
             spec.clone(),
             deal.iter().filter_map(|&ci| slots[ci as usize].take()),
         );
-        let wire_bytes = dict.encode().len() as u64;
+        let wire_bytes = dict.encoded_len() as u64;
         engine.broadcast_cost("phase1-2:broadcast", wire_bytes);
         let dict_cells = dict.num_cells();
         let dict_subcells = dict.num_sub_cells();

@@ -244,6 +244,15 @@ impl CellDictionary {
         buf
     }
 
+    /// The byte length of [`Self::encode`]'s output, computed from the
+    /// counts without encoding: a 36-byte header, then per cell
+    /// `8·d + 8` bytes and `⌈d(h−1)/8⌉ + 4` per sub-cell.
+    pub fn encoded_len(&self) -> usize {
+        let sub_pos_bytes = (self.spec.sub_bits() as usize).div_ceil(8);
+        let cell_bytes = 8 * self.spec.dim() + 8;
+        36 + self.cells.len() * cell_bytes + self.num_sub_cells() * (sub_pos_bytes + 4)
+    }
+
     /// Parses a dictionary previously produced by [`Self::encode`].
     pub fn decode(data: impl AsRef<[u8]>) -> Result<Self, DecodeError> {
         let mut data = Reader(data.as_ref());
@@ -573,6 +582,24 @@ mod tests {
         let model_bits = d.size_bits();
         assert!(wire_bits >= model_bits / 2);
         assert!(wire_bits <= model_bits * 4);
+    }
+
+    #[test]
+    fn encoded_len_matches_encoding() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        for dim in [1, 2, 3, 5, 13] {
+            for rho in [1.0, 0.5, 0.1, 0.01] {
+                let spec = GridSpec::new(dim, 1.3, rho).unwrap();
+                let empty = CellDictionary::build_from_points(spec.clone(), std::iter::empty());
+                assert_eq!(empty.encoded_len(), empty.encode().len());
+                let pts: Vec<Vec<f64>> = (0..200)
+                    .map(|_| (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect())
+                    .collect();
+                let d = CellDictionary::build_from_points(spec, pts.iter().map(|p| p.as_slice()));
+                assert_eq!(d.encoded_len(), d.encode().len(), "dim {dim} rho {rho}");
+            }
+        }
     }
 
     #[test]

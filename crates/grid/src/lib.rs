@@ -13,7 +13,11 @@
 //!   the skipping rule of Lemma 5.10 and a kd-tree over cell centres so an
 //!   `(ε,ρ)`-region query costs `O(log |cell|)` (Lemma 5.6);
 //! * [`DictionaryIndex::region_query_cells`] — the `(ε,ρ)`-region query
-//!   itself (Definition 5.1), read from the index's flat cell layout.
+//!   itself (Definition 5.1), read from the index's flat cell layout,
+//!   which keeps cells in coordinate order with a column directory;
+//! * [`CellQueryPlan`] and [`CellWindow`] — the per-cell answers of Phase
+//!   II: a memoized plan for a dense enough cell, and the gathered
+//!   ε-window with early-exit core marking for a sparse one.
 //!
 //! The hash tables used throughout are keyed by integer lattice coordinates
 //! and use a local FxHash-style hasher ([`fxhash`]) because the default
@@ -29,6 +33,7 @@ pub mod plan;
 pub mod query;
 pub mod spec;
 pub mod subdict;
+pub mod window;
 
 pub use cell::{for_each_in_box, CellCoord, SubCellIdx};
 pub use dictionary::{CellDictionary, CellEntry, DecodeError, SubCellEntry};
@@ -40,6 +45,7 @@ pub use plan::{
 pub use query::{QueryStats, RegionQueryResult};
 pub use spec::GridSpec;
 pub use subdict::DictionaryIndex;
+pub use window::CellWindow;
 
 /// Errors produced by grid construction.
 #[derive(Debug, Clone, PartialEq)]

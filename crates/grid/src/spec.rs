@@ -131,12 +131,16 @@ impl GridSpec {
         1u128.checked_shl(self.sub_bits()).unwrap_or(u128::MAX)
     }
 
-    /// The candidate-window reach `b = 1 + ⌈√d⌉`: two cells whose boxes
+    /// The candidate-window reach `b = 1 + ⌊√d⌋`: two cells whose boxes
     /// lie within ε of each other differ by at most `b` lattice steps in
-    /// every dimension (`(|δ|−1)·side ≤ ε` gives `|δ| ≤ 1 + √d`).
+    /// every dimension. `(|δ|−1)·side ≤ ε = √d·side` gives
+    /// `(|δ|−1)² ≤ d`, and `|δ|` is an integer, so `|δ|−1 ≤ ⌊√d⌋`
+    /// (computed as an integer square root, so no rounding enters). The
+    /// reach is attained along one axis, and it is all that
+    /// [`Self::in_eps_window`]'s slack admits.
     #[inline]
     pub fn window_reach(&self) -> i64 {
-        1 + (self.dim as f64).sqrt().ceil() as i64
+        1 + self.dim.isqrt() as i64
     }
 
     /// Lattice coordinate of the cell containing `p`.
@@ -234,9 +238,15 @@ impl GridSpec {
     /// from every changed cell cannot change core status or edges.
     #[inline]
     pub fn cell_min_dist2(&self, a: &CellCoord, b: &CellCoord) -> f64 {
-        debug_assert_eq!(a.dim(), b.dim());
+        self.lattice_min_dist2(a.coords(), b.coords())
+    }
+
+    /// [`Self::cell_min_dist2`] over raw lattice coordinates.
+    #[inline]
+    fn lattice_min_dist2(&self, a: &[i64], b: &[i64]) -> f64 {
+        debug_assert_eq!(a.len(), b.len());
         let mut acc = 0.0;
-        for (&x, &y) in a.coords().iter().zip(b.coords().iter()) {
+        for (&x, &y) in a.iter().zip(b) {
             let gap = (x as i128 - y as i128).abs() - 1;
             if gap > 0 {
                 let g = gap as f64 * self.side;
@@ -253,7 +263,14 @@ impl GridSpec {
     /// alone costs a test, never a result.
     #[inline]
     pub fn in_eps_window(&self, a: &CellCoord, b: &CellCoord) -> bool {
-        self.cell_min_dist2(a, b) <= self.eps * self.eps * (1.0 + crate::PLAN_SLACK)
+        self.in_eps_window_at(a.coords(), b.coords())
+    }
+
+    /// [`Self::in_eps_window`] over raw lattice coordinates, for callers
+    /// that read them from the index layout.
+    #[inline]
+    pub(crate) fn in_eps_window_at(&self, a: &[i64], b: &[i64]) -> bool {
+        self.lattice_min_dist2(a, b) <= self.eps * self.eps * (1.0 + crate::PLAN_SLACK)
     }
 
     /// Squared distance bounds between the boxes of two cells:
@@ -453,6 +470,39 @@ mod tests {
         let d2 = g.cell_min_dist2(&origin, &CellCoord::new([3, 5]));
         let (near, _) = g.cell_dist2_bounds(&CellCoord::new([3, 5]), &[1.0, 1.0]);
         assert!((d2 - near).abs() < 1e-12);
+    }
+
+    #[test]
+    fn window_reach_is_exact() {
+        // `in_eps_window` reads only the per-axis gaps `max(|δ|−1, 0)`,
+        // and a non-zero gap on another axis only adds to the distance.
+        // So an offset beyond the reach on some axis is accepted only if
+        // that axis' single-axis offset is, and the single-axis sweep
+        // below covers every offset of every dimension.
+        for d in 1..=16usize {
+            let g = GridSpec::new(d, 1.7, 1.0).unwrap();
+            let b = g.window_reach();
+            for axis in 0..d {
+                for off in [-(b + 1), -b, b, b + 1] {
+                    let mut p = vec![0i64; d];
+                    p[axis] = off;
+                    let inside = g.in_eps_window(&CellCoord::new(vec![0; d]), &CellCoord::new(p));
+                    assert_eq!(inside, off.abs() <= b, "d={d} axis {axis} offset {off}");
+                }
+            }
+        }
+        // Cross-check by brute force over the whole ±(b+1) box where it
+        // is small: every accepted offset lies within the reach.
+        for d in 1..=4usize {
+            let g = GridSpec::new(d, 1.7, 1.0).unwrap();
+            let b = g.window_reach();
+            let origin = CellCoord::new(vec![0; d]);
+            crate::cell::for_each_in_box(&vec![-(b + 1); d], &vec![b + 1; d], |p| {
+                if g.in_eps_window(&origin, &CellCoord::new(p.iter().copied())) {
+                    assert!(p.iter().all(|v| v.abs() <= b), "d={d}: {p:?} beyond {b}");
+                }
+            });
+        }
     }
 
     #[test]
