@@ -50,8 +50,12 @@ fn build_store(
     for row in rows {
         w.push(row).unwrap();
     }
+    // Tests run in parallel in one process and may build equal stores:
+    // a per-call serial keeps one test from removing another's file.
+    static SERIAL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let serial = SERIAL.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!(
-        "rpdbscan-equiv-{}-{dim}-{page_rows}-{}.store",
+        "rpdbscan-equiv-{}-{serial}-{dim}-{page_rows}-{}.store",
         std::process::id(),
         rows.len()
     ));

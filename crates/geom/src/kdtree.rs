@@ -150,11 +150,15 @@ impl KdTree {
     /// per member point (any point of the box is within `radius` of a
     /// reported candidate whenever it is within `radius − diam(box)` of
     /// it, so the result is a superset of every per-point search).
+    ///
+    /// `stack` is the traversal's scratch, cleared first, so a caller
+    /// that keeps one across searches allocates nothing in steady state.
     pub fn for_each_near_box<F: FnMut(u32, f64)>(
         &self,
         lo: &[f64],
         hi: &[f64],
         radius: f64,
+        stack: &mut Vec<(u32, f64)>,
         mut f: F,
     ) {
         debug_assert_eq!(lo.len(), self.dim);
@@ -166,7 +170,8 @@ impl KdTree {
         // Same traversal shape as `for_each_within`, with the query point
         // generalised to an interval per axis: crossing a split plane costs
         // the gap between the plane and the nearer interval endpoint.
-        let mut stack: Vec<(u32, f64)> = vec![(0, 0.0)];
+        stack.clear();
+        stack.push((0, 0.0));
         while let Some((ni, acc)) = stack.pop() {
             if acc > r2 {
                 continue;
@@ -487,7 +492,7 @@ mod tests {
                     .collect();
                 expected.sort_unstable();
                 let mut got = Vec::new();
-                t.for_each_near_box(&lo, &hi, r, |p, d2| {
+                t.for_each_near_box(&lo, &hi, r, &mut Vec::new(), |p, d2| {
                     assert!(d2 <= r * r + 1e-12);
                     got.push(p);
                 });
@@ -509,7 +514,7 @@ mod tests {
             let mut a = t.within(&q, r);
             a.sort_unstable();
             let mut b = Vec::new();
-            t.for_each_near_box(&q, &q, r, |p, _| b.push(p));
+            t.for_each_near_box(&q, &q, r, &mut Vec::new(), |p, _| b.push(p));
             b.sort_unstable();
             assert_eq!(a, b);
         }
@@ -518,7 +523,7 @@ mod tests {
     #[test]
     fn box_query_on_empty_tree() {
         let t = KdTree::build(2, vec![], vec![]);
-        t.for_each_near_box(&[0.0, 0.0], &[1.0, 1.0], 5.0, |_, _| {
+        t.for_each_near_box(&[0.0, 0.0], &[1.0, 1.0], 5.0, &mut Vec::new(), |_, _| {
             panic!("empty tree reported a point")
         });
     }
