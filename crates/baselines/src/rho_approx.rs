@@ -48,7 +48,7 @@ pub fn rho_approx_dbscan(
     let all: Vec<u32> = (0..cells.len() as u32).collect();
     let dict = CellDictionary::build_from_points(spec, data.iter().map(|(_, p)| p));
     let index = DictionaryIndex::single(dict);
-    let local = build_local_clustering(&src, &all, &index, min_pts, QueryRouting::auto(&index))?;
+    let local = build_local_clustering(&src, &all, &index, min_pts, QueryRouting::Window)?;
 
     let mut core = vec![false; data.len()];
     for pts in local.core_points.values() {

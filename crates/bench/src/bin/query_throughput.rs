@@ -1,13 +1,15 @@
 //! Planned vs unplanned vs *routed* `(ε,ρ)`-region query throughput.
 //!
-//! The Phase II hot path answers one region query per point. The
+//! Stream repair answers one region query per point of a repaired cell,
+//! because it caches every point's density (Phase II needs only core
+//! flags and answers each cell from its ε-window instead). The
 //! cell-level planner (`CellQueryPlan`) amortises the kd-tree candidate
 //! search and sub-cell classification over all points of a cell, and the
 //! `PlannerCostModel` decides per cell whether that amortisation pays.
 //! This binary measures all three paths on two workload shapes:
 //!
 //! * **dense** — points packed ≥ 16 per cell, where one plan serves many
-//!   queries (the shape Phase II sees on clustered data);
+//!   queries (the shape clustered data takes);
 //! * **sparse** — near-singleton cells (where plan builds amortise
 //!   poorly — the planner's historical 0.69× worst case) plus a thin
 //!   dense tail of blob cells, the shape real skewed data takes;
@@ -17,7 +19,7 @@
 //! * **unplanned** — the per-point kd oracle;
 //! * **planned** — a plan per cell, unconditionally (the old
 //!   `use_query_planner = true` ablation);
-//! * **routed** — the production path: the cost model routes each cell
+//! * **routed** — stream repair's rule: the cost model routes each cell
 //!   to whichever of the two is cheaper for its occupancy.
 //!
 //! All paths run identical per-point query sequences with densities
@@ -156,10 +158,10 @@ fn bench_shape(
             let mut d = 0u64;
             for cell in &cells {
                 // Unplanned runs the per-point kd path, result buffer
-                // reused as Phase II runs it; planned builds each cell's
-                // plan unconditionally (build time included — that is the
-                // real Phase II cost); routed is the production path,
-                // where the cost model picks per cell.
+                // reused as stream repair runs it; planned builds each
+                // cell's plan unconditionally (build time included — that
+                // is the real repair cost); routed is stream repair's
+                // rule, where the cost model picks per cell.
                 let planned = match path {
                     0 => false,
                     1 => true,

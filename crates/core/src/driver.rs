@@ -45,36 +45,28 @@ pub struct RunStats {
     pub noise_points: usize,
     /// Partitions used.
     pub num_partitions: usize,
-    /// Aggregated region-query counters. Phase II runs no per-point
-    /// query in a window-path or dense cell, and a plan build visits no
-    /// sub-dictionary, so on the default routing these stay zero.
+    /// Aggregated region-query counters. Phase II answers every cell
+    /// from its ε-window and runs no per-point query, so these stay zero.
     pub query_subdicts_skipped: u64,
     /// See [`Self::query_subdicts_skipped`].
     pub query_subdicts_visited: u64,
-    /// Candidate cells: each plan build adds its gathered ε-window, and
-    /// each per-point or planned query the cells it considered.
+    /// Candidate cells considered by per-point queries; zero, like the
+    /// two fields above.
     pub query_cells_candidate: u64,
-    /// Phase II cell query plans built (one per partition cell the cost
-    /// model routed through the planner).
+    /// Cell query plans built. Phase II builds none, so this is zero.
     pub query_plans_built: u64,
-    /// Region queries answered through a memoized cell plan.
+    /// Region queries answered through a cell plan; zero, as Phase II
+    /// builds no plan.
     pub query_plan_hits: u64,
-    /// Points of planned cells resolved by the dense-cell path, with no
-    /// per-point query: `query_plan_hits + query_points_dense` is the
-    /// number of points in planned cells.
-    pub query_points_dense: u64,
-    /// Cells answered purely from a plan's precomputed sub-cell sums —
-    /// no per-point distance test at all.
+    /// Planned cells answered from precomputed sub-cell sums; zero, as
+    /// Phase II builds no plan.
     pub query_cells_planned_full: u64,
-    /// Partition cells the cost model routed through the memoized
-    /// planner (occupancy at or above the break-even threshold).
+    /// Partition cells answered through a plan; zero, as Phase II builds
+    /// no plan.
     pub query_cells_routed_planned: u64,
-    /// Partition cells the cost model routed past the planner, each
-    /// answered from its gathered ε-window with no per-point query.
+    /// Partition cells answered from their gathered ε-window: every
+    /// occupied cell, so this equals `dict_cells`.
     pub query_cells_routed_kd: u64,
-    /// The cost model's break-even occupancy for this run — cells below
-    /// it can never be planned (calibrated once per dictionary build).
-    pub route_min_occupancy: u32,
     /// True when the run streamed cells from a column store instead of a
     /// resident dataset. Every field below is zero on resident runs.
     pub out_of_core: bool,
@@ -265,15 +257,13 @@ impl RpDbscan {
         let index = DictionaryIndex::new(dict, p.subdict_capacity);
 
         // ---- Phase II: cell graph construction ------------------------
-        // Calibrated once per dictionary build; each partition cell then
-        // routes itself between the memoized planner and the kd path.
-        let routing = QueryRouting::auto(&index);
         let locals = engine.run_stage("phase2:local-clustering", part_refs, |ctx, part| {
             if Some(ctx.index()) == p.inject_fault {
                 // lint:allow(panic-safety): deliberate fault-injection hook; the engine's panic recovery is what is under test
                 panic!("injected fault in partition {}", ctx.index());
             }
-            let local = build_local_clustering(&source, part, &index, p.min_pts, routing)?;
+            let local =
+                build_local_clustering(&source, part, &index, p.min_pts, QueryRouting::Window)?;
             let run = Run::keep(local.subgraph, spill).map_err(task_err)?;
             Ok((run, local.core_points, local.stats, local.queries))
         })?;
@@ -315,11 +305,9 @@ impl RpDbscan {
             query_cells_candidate: query_stats.cells_candidate as u64,
             query_plans_built: query_stats.plans_built as u64,
             query_plan_hits: query_stats.plan_hits as u64,
-            query_points_dense: query_stats.points_dense as u64,
             query_cells_planned_full: query_stats.cells_planned_full as u64,
             query_cells_routed_planned: query_stats.cells_routed_planned as u64,
             query_cells_routed_kd: query_stats.cells_routed_kd as u64,
-            route_min_occupancy: routing.min_occupancy().unwrap_or(0),
             out_of_core: matches!(source, CellSource::Paged(_)),
             pool_budget_bytes: 0,
             pool_hits: 0,
@@ -581,13 +569,12 @@ mod tests {
     }
 
     #[test]
-    fn routed_planner_engages_and_accounts_every_cell() {
-        // The always-on routed planner: dense blob cells amortise a plan,
-        // the lone outlier's cell takes the kd path, and the routing
-        // counters account for every occupied cell exactly once. (The
-        // bit-exactness of planned vs kd output is pinned by the phase2
-        // and planned-equivalence suites; here we check the driver's
-        // routing bookkeeping end to end.)
+    fn window_path_answers_and_accounts_every_cell() {
+        // Phase II answers every occupied cell from its ε-window: no plan
+        // is built, every cell is counted once, and the clustering does
+        // not depend on the partitioning or the fragment capacity. (The
+        // window path's bit-exactness against the per-point oracle is
+        // pinned by the phase2 and window-cell suites.)
         let data = two_blob_data();
         let engine = Engine::with_cost_model(4, CostModel::free());
         let mut first: Option<rpdbscan_metrics::Clustering> = None;
@@ -597,24 +584,14 @@ mod tests {
                 .with_subdict_capacity(cap);
             let out = RpDbscan::new(params).unwrap().run(&data, &engine).unwrap();
             let s = &out.stats;
-            // Every occupied cell got exactly one routing decision
-            // (partitions hold disjoint cell sets).
+            // Partitions hold disjoint cell sets.
             assert_eq!(
-                s.query_cells_routed_planned + s.query_cells_routed_kd,
-                s.dict_cells as u64,
+                s.query_cells_routed_kd, s.dict_cells as u64,
                 "k={k} cap={cap}"
             );
-            // One plan per planned-routed cell, none elsewhere.
-            assert_eq!(s.query_plans_built, s.query_cells_routed_planned);
-            // The dense blobs clear the break-even threshold; the
-            // outlier's singleton cell cannot (floor is ≥ 8).
-            assert!(s.query_cells_routed_planned >= 1, "k={k} cap={cap}");
-            assert!(s.query_cells_routed_kd >= 1, "k={k} cap={cap}");
-            assert_eq!(
-                s.route_min_occupancy,
-                rpdbscan_grid::PlannerCostModel::from_dim(2).min_occupancy
-            );
-            // Routing never changes the output.
+            assert_eq!(s.query_plans_built, 0, "k={k} cap={cap}");
+            assert_eq!(s.query_cells_routed_planned, 0);
+            assert_eq!(s.query_plan_hits + s.query_cells_planned_full, 0);
             match &first {
                 None => first = Some(out.clustering.clone()),
                 Some(c) => assert_eq!(&out.clustering, c, "k={k} cap={cap}"),

@@ -239,8 +239,7 @@ mod tests {
         let locals: Vec<_> = parts
             .iter()
             .map(|p| {
-                build_local_clustering(&src, p, &index, min_pts, QueryRouting::auto(&index))
-                    .unwrap()
+                build_local_clustering(&src, p, &index, min_pts, QueryRouting::Window).unwrap()
             })
             .collect();
         let mut core_points: FxHashMap<u32, Vec<PointId>> = FxHashMap::default();

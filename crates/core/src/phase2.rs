@@ -1,70 +1,33 @@
 //! Phase II: core marking and cell subgraph building (Algorithm 3).
 //!
-//! Each partition independently runs an `(ε,ρ)`-region query for every one
-//! of its points against the broadcast dictionary, marks core points and
-//! core cells, and emits a cell subgraph whose edges point from its core
-//! cells to every cell holding a qualifying neighbour sub-cell. Successor
-//! cells living in other partitions stay type-undetermined until Phase
-//! III merges the knowledge in.
+//! Each partition independently marks core points and core cells against
+//! the broadcast dictionary, and emits a cell subgraph whose edges point
+//! from its core cells to every cell holding a qualifying neighbour
+//! sub-cell. Successor cells living in other partitions stay
+//! type-undetermined until Phase III merges the knowledge in.
 //!
-//! A planned cell whose plan proves every point's density ≥ minPts (a
-//! *dense* cell) skips the per-point queries: its points are all core
-//! and its successors are found per cell (DESIGN §5.1). A cell too
-//! sparse to plan is answered from its ε-window, gathered once: core
-//! marking stops at minPts and successors are found per cell too
-//! (DESIGN §5.2).
+//! Algorithm 3 runs one `(ε,ρ)`-region query per point. Here every cell
+//! is answered from its ε-window instead, gathered once: core marking
+//! stops at minPts nearest first, and a core cell's successors are found
+//! per cell (DESIGN §5.2). The per-point region query survives only as
+//! the oracle the window path is tested against.
 
 use crate::graph::{CellSubgraph, CellType};
 use crate::source::{CellSource, Scratch};
 use rpdbscan_engine::TaskError;
 use rpdbscan_geom::PointId;
-use rpdbscan_grid::{
-    CellQueryPlan, CellWindow, DictionaryIndex, FxHashMap, PlannerCostModel, QueryRoute, QueryStats,
-};
+use rpdbscan_grid::{CellWindow, DictionaryIndex, FxHashMap, QueryStats};
 
-/// How Phase II routes each cell's region queries.
-///
-/// Production code uses [`QueryRouting::Auto`]: the cost model routes each
-/// cell by occupancy, so dense cells amortise a [`CellQueryPlan`] while
-/// sparse cells take the cheaper per-point kd path. The forced variants
-/// exist for the equivalence suites and ablations — all three produce
-/// bit-identical clustering output; routing is purely a performance
-/// decision.
+/// How Phase II answers each cell. Both variants produce bit-identical
+/// clustering output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryRouting {
-    /// Per-cell cost-model routing (the production default).
-    Auto(PlannerCostModel),
-    /// Force a plan for every cell regardless of occupancy.
-    Planned,
-    /// Force the per-point kd query everywhere — the correctness oracle
-    /// the planned and window paths are pinned against.
+    /// Every cell from its ε-window ([`CellWindow`]): what production
+    /// callers use.
+    Window,
+    /// The per-point kd query for every point — the correctness oracle
+    /// the window path is pinned against.
     Oracle,
-}
-
-impl QueryRouting {
-    /// Cost-model routing calibrated for `index` — what `driver`, `stream`
-    /// and `serve` all use.
-    pub fn auto(index: &DictionaryIndex) -> Self {
-        QueryRouting::Auto(PlannerCostModel::calibrate(index))
-    }
-
-    /// Decides the route for one cell holding `occupancy` query points.
-    #[inline]
-    pub fn route(&self, occupancy: usize) -> QueryRoute {
-        match self {
-            QueryRouting::Auto(model) => model.route(occupancy),
-            QueryRouting::Planned => QueryRoute::Planned,
-            QueryRouting::Oracle => QueryRoute::Kd,
-        }
-    }
-
-    /// The cost-model threshold in effect (`None` for the forced modes).
-    pub fn min_occupancy(&self) -> Option<u32> {
-        match self {
-            QueryRouting::Auto(model) => Some(model.min_occupancy),
-            _ => None,
-        }
-    }
 }
 
 /// Output of Phase II for one partition.
@@ -77,9 +40,9 @@ pub struct LocalClustering {
     pub core_points: FxHashMap<u32, Vec<PointId>>,
     /// Aggregated region-query instrumentation.
     pub stats: QueryStats,
-    /// Points of the partition, each resolved by a region query or by
-    /// the dense-cell path (so always the partition's point count; it
-    /// feeds `RunStats::points_processed`).
+    /// Points of the partition, each resolved from its cell's window or
+    /// by a region query (so always the partition's point count; it feeds
+    /// `RunStats::points_processed`).
     pub queries: u64,
 }
 
@@ -104,17 +67,12 @@ pub struct LocalBuilder {
 }
 
 impl LocalBuilder {
-    /// Runs Algorithm 3's per-cell body: region-query every point of the
-    /// cell, mark core points, and (for a core cell) add successor edges.
-    ///
-    /// A planned cell whose [`CellQueryPlan::density_floor`] reaches
-    /// `min_pts` skips the per-point queries: all of its points are core,
-    /// and its successors are found per cell by
-    /// [`CellQueryPlan::successors_into`]. A cell routed past the planner
-    /// is answered from its [`CellWindow`] (see
-    /// [`Self::process_window_cell`]) unless `routing` is
-    /// [`QueryRouting::Oracle`]. The output is the one the per-point loop
-    /// would build.
+    /// Runs Algorithm 3's per-cell body: mark the cell's core points and
+    /// (for a core cell) add its successor edges. Under
+    /// [`QueryRouting::Window`] the cell is answered from its
+    /// [`CellWindow`] (see [`Self::process_window_cell`]); under
+    /// [`QueryRouting::Oracle`] every point runs the per-point region
+    /// query, as Algorithm 3 states it. Both build the same output.
     ///
     /// `ids` lists the cell's point ids and `rows` their gathered
     /// coordinates, row-major: the `j`-th id's point occupies
@@ -139,46 +97,14 @@ impl LocalBuilder {
         })?;
         self.neighbors.clear();
         self.queries += ids.len() as u64;
-        let plan = match routing.route(ids.len()) {
-            QueryRoute::Planned => {
-                self.stats.cells_routed_planned += 1;
-                let plan = CellQueryPlan::build_in(index, cell_idx, &mut self.window);
-                // Build cost is charged once per cell, not once per point.
-                self.stats.merge(plan.build_stats());
-                Some(plan)
-            }
-            QueryRoute::Kd => {
-                self.stats.cells_routed_kd += 1;
-                if routing != QueryRouting::Oracle {
-                    self.process_window_cell(index, min_pts as u64, cell_idx, ids, rows);
-                    return Ok(());
-                }
-                None
-            }
-        };
-        if let Some(plan) = &plan {
-            if !ids.is_empty() && plan.density_floor() >= min_pts as u64 {
-                // Dense cell: every point's density is at least the
-                // floor, so all are core (Lines 9–12) and the successors
-                // (13–16) are the cells any of them reaches.
-                self.stats.points_dense += ids.len() as u32;
-                self.core_points
-                    .entry(cell_idx)
-                    .or_default()
-                    .extend_from_slice(ids);
-                self.types.push((cell_idx, CellType::Core));
-                plan.successors_into(cell_idx, rows, &mut self.neighbors);
-                self.edges
-                    .extend(self.neighbors.iter().map(|&nc| (cell_idx, nc)));
-                return Ok(());
-            }
+        self.stats.cells_routed_kd += 1;
+        if routing == QueryRouting::Window {
+            self.process_window_cell(index, min_pts as u64, cell_idx, ids, rows);
+            return Ok(());
         }
         let mut is_core_cell = false;
         for (&pid, p) in ids.iter().zip(rows.chunks_exact(dim)) {
-            match &plan {
-                Some(plan) => plan.query_into(p, &mut self.r),
-                None => index.region_query_cells_into(p, &mut self.r),
-            }
+            index.region_query_cells_into(p, &mut self.r);
             self.stats.merge(&self.r.stats);
             if self.r.density >= min_pts as u64 {
                 // p is a core point (Line 9–10); its cell is core (11–12)
@@ -262,14 +188,10 @@ impl LocalBuilder {
 /// Runs Algorithm 3 over the cells of one partition: `cells` lists
 /// directory indices into `source`, visited in the given order.
 ///
-/// `index` is the broadcast dictionary. `routing` decides per cell
-/// whether a [`CellQueryPlan`] is built (and every point of the cell
-/// answered through it — the candidate gather and sub-cell centre
-/// materialisation amortised over the cell's points) or the cell is
-/// answered from its [`CellWindow`] (each point running the per-point kd
-/// query under [`QueryRouting::Oracle`]). The clustering output is
-/// identical on every route; the decision is recorded in the returned
-/// stats (`cells_routed_planned` / `cells_routed_kd`).
+/// `index` is the broadcast dictionary. `routing` is
+/// [`QueryRouting::Window`] everywhere but the equivalence tests, which
+/// compare it against [`QueryRouting::Oracle`]. Every cell counts once in
+/// the returned stats' `cells_routed_kd`.
 ///
 /// Runs inside a `run_stage` task; a failed gather or a partition cell
 /// absent from the broadcast dictionary is reported as a [`TaskError`]
@@ -329,7 +251,7 @@ mod tests {
             cells: &cells,
         };
         let local =
-            build_local_clustering(&src, &parts[0], &index, 4, QueryRouting::Planned).unwrap();
+            build_local_clustering(&src, &parts[0], &index, 4, QueryRouting::Window).unwrap();
         // Some interior cell must be core; the outlier's cell must not be.
         let outlier_cell = index.dict().index_of(&spec.cell_of(&[50.0, 50.0])).unwrap();
         assert_eq!(local.subgraph.cell_type(outlier_cell), CellType::NonCore);
@@ -354,7 +276,7 @@ mod tests {
             cells: &cells,
         };
         let local =
-            build_local_clustering(&src, &parts[0], &index, 4, QueryRouting::Planned).unwrap();
+            build_local_clustering(&src, &parts[0], &index, 4, QueryRouting::Window).unwrap();
         assert!(local.subgraph.is_global());
         let (_, _, undet) = local.subgraph.edge_type_counts();
         assert_eq!(undet, 0);
@@ -371,7 +293,7 @@ mod tests {
         let mut any_undetermined = false;
         for part in &parts {
             let local =
-                build_local_clustering(&src, part, &index, 4, QueryRouting::Planned).unwrap();
+                build_local_clustering(&src, part, &index, 4, QueryRouting::Window).unwrap();
             let (_, _, undet) = local.subgraph.edge_type_counts();
             if undet > 0 {
                 any_undetermined = true;
@@ -392,7 +314,7 @@ mod tests {
             cells: &cells,
         };
         let local =
-            build_local_clustering(&src, &parts[0], &index, 1, QueryRouting::Planned).unwrap();
+            build_local_clustering(&src, &parts[0], &index, 1, QueryRouting::Window).unwrap();
         for &(cell, t) in local.subgraph.types() {
             assert_eq!(t, CellType::Core, "cell {cell} not core at minPts=1");
         }
@@ -407,7 +329,7 @@ mod tests {
             cells: &cells,
         };
         let local =
-            build_local_clustering(&src, &parts[0], &index, 1000, QueryRouting::Planned).unwrap();
+            build_local_clustering(&src, &parts[0], &index, 1000, QueryRouting::Window).unwrap();
         assert!(local.core_points.is_empty());
         assert_eq!(local.subgraph.num_edges(), 0);
         for &(_, t) in local.subgraph.types() {
@@ -424,7 +346,7 @@ mod tests {
             cells: &cells,
         };
         let local =
-            build_local_clustering(&src, &parts[0], &index, 4, QueryRouting::Planned).unwrap();
+            build_local_clustering(&src, &parts[0], &index, 4, QueryRouting::Window).unwrap();
         for &(from, _) in local.subgraph.edges() {
             assert_eq!(local.subgraph.cell_type(from), CellType::Core);
         }
@@ -437,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn planner_and_oracle_paths_agree_exactly() {
+    fn window_and_oracle_paths_agree_exactly() {
         let (spec, data) = line_world();
         for k in [1, 3] {
             let (cells, parts, index) = setup(&spec, &data, k);
@@ -450,56 +372,23 @@ mod tests {
                     let oracle =
                         build_local_clustering(&src, part, &index, min_pts, QueryRouting::Oracle)
                             .unwrap();
-                    assert_eq!(oracle.stats.plan_hits, 0);
-                    assert_eq!(oracle.stats.cells_routed_planned, 0);
-                    // Every routing mode must agree with the oracle
-                    // bit-for-bit — routing is a pure performance choice.
-                    for routing in [
-                        QueryRouting::Planned,
-                        QueryRouting::auto(&index),
-                        QueryRouting::Auto(PlannerCostModel { min_occupancy: 2 }),
-                    ] {
-                        let routed =
-                            build_local_clustering(&src, part, &index, min_pts, routing).unwrap();
-                        assert_eq!(routed.queries, oracle.queries);
-                        assert_eq!(routed.core_points, oracle.core_points);
-                        assert_eq!(routed.subgraph.types(), oracle.subgraph.types());
-                        assert_eq!(routed.subgraph.edges(), oracle.subgraph.edges());
-                        // Per-point counters are bit-identical while every
-                        // point runs a query; only the amortised
-                        // candidate/sub-dictionary counters differ. Dense
-                        // cells and window-path cells (the kd route under
-                        // `Auto`) run no per-point query at all.
-                        if routing == QueryRouting::Planned && routed.stats.points_dense == 0 {
-                            assert_eq!(routed.stats.cells_full, oracle.stats.cells_full);
-                            assert_eq!(routed.stats.cells_partial, oracle.stats.cells_partial);
-                            assert_eq!(
-                                routed.stats.subcells_reported,
-                                oracle.stats.subcells_reported
-                            );
-                        }
-                        if min_pts == 1000 {
-                            assert_eq!(routed.stats.points_dense, 0);
-                        }
-                        // Routing decisions are fully accounted for.
-                        assert_eq!(
-                            routed.stats.cells_routed_planned + routed.stats.cells_routed_kd,
-                            part.len() as u32,
-                            "every cell gets exactly one routing decision"
-                        );
-                        assert_eq!(
-                            routed.stats.cells_routed_planned, routed.stats.plans_built,
-                            "one plan per planned-routed cell"
-                        );
-                        if routing == QueryRouting::Planned {
-                            // Every point of a planned cell is either
-                            // queried through its plan or resolved dense.
-                            assert_eq!(
-                                routed.stats.plan_hits + routed.stats.points_dense,
-                                routed.queries as u32
-                            );
-                        }
+                    let window =
+                        build_local_clustering(&src, part, &index, min_pts, QueryRouting::Window)
+                            .unwrap();
+                    // The two paths agree bit for bit.
+                    assert_eq!(window.queries, oracle.queries);
+                    assert_eq!(window.core_points, oracle.core_points);
+                    assert_eq!(window.subgraph.types(), oracle.subgraph.types());
+                    assert_eq!(window.subgraph.edges(), oracle.subgraph.edges());
+                    // Neither builds a plan, and every cell is counted once.
+                    for local in [&window, &oracle] {
+                        assert_eq!(local.stats.plans_built, 0);
+                        assert_eq!(local.stats.plan_hits, 0);
+                        assert_eq!(local.stats.cells_routed_planned, 0);
+                        assert_eq!(local.stats.cells_routed_kd, part.len() as u32);
                     }
+                    // The window path runs no per-point query.
+                    assert_eq!(window.stats.cells_candidate, 0);
                 }
             }
         }
@@ -516,7 +405,7 @@ mod tests {
         let total: u64 = parts
             .iter()
             .map(|p| {
-                build_local_clustering(&src, p, &index, 4, QueryRouting::auto(&index))
+                build_local_clustering(&src, p, &index, 4, QueryRouting::Window)
                     .unwrap()
                     .queries
             })

@@ -301,8 +301,7 @@ mod tests {
             cells: &cells,
         };
         let all: Vec<u32> = (0..cells.len() as u32).collect();
-        let local =
-            build_local_clustering(&src, &all, &index, 4, QueryRouting::auto(&index)).unwrap();
+        let local = build_local_clustering(&src, &all, &index, 4, QueryRouting::Window).unwrap();
         for cell in &cells {
             let ids: Vec<u32> = cell.points.iter().map(|p| p.0).collect();
             let rep = recompute_cell(

@@ -40,7 +40,6 @@ impl DensityBackend for ExactGrid {
             GridSpec::new(data.dim(), p.eps, p.rho).map_err(rpdbscan_core::CoreError::from)?;
         let dict = CellDictionary::build_from_points(spec, data.iter().map(|(_, pt)| pt));
         let index = DictionaryIndex::new(dict, p.subdict_capacity);
-        let routing = QueryRouting::auto(&index);
 
         // Core status is a per-point property, so any cell split gives
         // the same flags; chunk the (already coordinate-sorted) cells
@@ -58,7 +57,7 @@ impl DensityBackend for ExactGrid {
 
         let min_pts = p.min_pts;
         let stage = engine.run_stage("density:exact-cores", ranges, |_ctx, part| {
-            let local = build_local_clustering(&src, &part, &index, min_pts, routing)?;
+            let local = build_local_clustering(&src, &part, &index, min_pts, QueryRouting::Window)?;
             let mut ids: Vec<PointId> = local.core_points.into_values().flatten().collect();
             ids.sort_unstable();
             Ok(ids)

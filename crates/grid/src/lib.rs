@@ -15,9 +15,10 @@
 //! * [`DictionaryIndex::region_query_cells`] — the `(ε,ρ)`-region query
 //!   itself (Definition 5.1), read from the index's flat cell layout,
 //!   which keeps cells in coordinate order with a column directory;
-//! * [`CellQueryPlan`] and [`CellWindow`] — the per-cell answers of Phase
-//!   II: a memoized plan for a dense enough cell, and the gathered
-//!   ε-window with early-exit core marking for a sparse one.
+//! * [`CellWindow`] — Phase II's per-cell answer: the gathered ε-window
+//!   with early-exit core marking and per-cell successors;
+//! * [`CellQueryPlan`] — a memoized per-cell region query for stream
+//!   repair and serving's classify, which need every point's density.
 //!
 //! The hash tables used throughout are keyed by integer lattice coordinates
 //! and use a local FxHash-style hasher ([`fxhash`]) because the default

@@ -1,4 +1,4 @@
-//! Cell-level query planning for the Phase II hot path.
+//! Cell-level query planning for stream repair and serving's classify.
 //!
 //! All points of one cell run nearly the same `(ε,ρ)`-region query: the
 //! sub-dictionary scan, the kd-tree candidate search, and most of the
@@ -29,18 +29,10 @@
 //! 3. **SoA centre layout.** The remaining *tested* sub-cell centres are
 //!    copied into one flat `Vec<f64>` with parallel `counts`/prefix
 //!    arrays, so the per-point inner loop is a branch-light linear scan
-//!    over the plan's own cells only. In Phase II the centres, counts and
-//!    box origins come from the [`DictionaryIndex`]'s flat layout, the one
+//!    over the plan's own cells only. In a plan from
+//!    [`CellQueryPlan::build`] the centres, counts and box origins come from the [`DictionaryIndex`]'s flat layout, the one
 //!    place sub-cell centres are decoded; a build never touches a
 //!    `CellEntry`.
-//!
-//! 4. **Dense cells.** The always-qualifying sums bound every point's
-//!    density from below ([`CellQueryPlan::density_floor`]). When the
-//!    bound reaches minPts, Phase II needs no per-point query: every
-//!    point is core, and [`CellQueryPlan::successors_into`] finds the
-//!    cells they reach per cell — a cell with an always-qualifying
-//!    sub-cell at once, any other by walking the points until the first
-//!    one that reaches it.
 //!
 //! Classification uses a conservative relative slack ([`PLAN_SLACK`]):
 //! near the ε boundary a sub-cell stays in the tested set, where
@@ -58,7 +50,7 @@
 
 use crate::cell::CellCoord;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::query::{box_dist2_bounds, reached_by_any, QueryStats, RegionQueryResult};
+use crate::query::{box_dist2_bounds, QueryStats, RegionQueryResult};
 use crate::spec::{box_box_dist2_bounds, GridSpec};
 use crate::subdict::DictionaryIndex;
 use crate::window::CellWindow;
@@ -108,8 +100,8 @@ pub struct CellQueryPlan {
     dim: usize,
     eps2: f64,
     side: f64,
-    /// Planned cells: candidate id per cell (a dictionary index in
-    /// Phase II).
+    /// Planned cells: candidate id per cell (a dictionary index for a
+    /// plan from [`Self::build`]).
     cell_idx: Vec<u32>,
     /// Planned cells: box origin per cell, `dim` values each, computed
     /// exactly as `cell_dist2_bounds` does (`coord · side`).
@@ -368,51 +360,6 @@ impl CellQueryPlan {
         self.walk(p, |_, _| {})
     }
 
-    /// A lower bound on the region-query density of **every** point of
-    /// the planned cell: the summed densities of the always-qualifying
-    /// sub-cells, which [`Self::query_into`] adds for each point without
-    /// a test. The own cell's sub-cells are always among them (each
-    /// sub-centre sits `sub_side/2` inside the box), so the bound is at
-    /// least the cell's own count. When it reaches `minPts`, every point
-    /// of the cell is core without a query.
-    pub fn density_floor(&self) -> u64 {
-        self.always_total.iter().sum()
-    }
-
-    /// Appends to `out`, in candidate order (ascending dictionary order
-    /// for a plan from [`Self::build`]), every planned cell other than
-    /// `own` (the planned cell's own id) that some row of `rows` (the
-    /// cell's points, row-major) reaches — the sorted, deduplicated union of the
-    /// `neighbor_cells` that [`Self::query_into`] would report over those
-    /// rows, without the per-point density sums.
-    ///
-    /// A cell with an always-qualifying sub-cell is reached by every row.
-    /// Otherwise the rows are walked until the first one whose box bounds
-    /// admit the cell and that either contains the whole cell within ε
-    /// or has one of its tested centres within ε.
-    // lint:hot
-    pub fn successors_into(&self, own: u32, rows: &[f64], out: &mut Vec<u32>) {
-        let dim = self.dim;
-        for (j, &cj) in self.cell_idx.iter().enumerate() {
-            if cj == own {
-                continue;
-            }
-            let reached = self.always_subs[j] > 0 || {
-                let tested = self.tested(j);
-                reached_by_any(
-                    &self.lo[j * dim..(j + 1) * dim],
-                    self.side,
-                    &self.centers[tested.start * dim..tested.end * dim],
-                    self.eps2,
-                    rows,
-                )
-            };
-            if reached {
-                out.push(cj);
-            }
-        }
-    }
-
     /// Number of planned (non-pruned) candidate cells.
     pub fn num_cells(&self) -> usize {
         self.cell_idx.len()
@@ -437,22 +384,23 @@ impl CellQueryPlan {
     }
 }
 
-/// Route chosen by the [`PlannerCostModel`] for one occupied cell.
+/// Route chosen by the [`PlannerCostModel`] for one occupied cell of a
+/// stream repair (`query_throughput` times the same rule).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryRoute {
     /// Build a [`CellQueryPlan`] and answer every point through
     /// [`CellQueryPlan::query_into`].
     Planned,
-    /// No plan: the cell is too sparse to amortise a plan build. Phase
-    /// II answers it from its [`crate::CellWindow`]; the oracle routing,
-    /// stream repair and the sampled density backend run each point
-    /// through the per-point kd query
+    /// No plan: the cell is too sparse to amortise a plan build, so each
+    /// point runs the per-point kd query
     /// ([`DictionaryIndex::region_query_cells_into`]).
     Kd,
 }
 
-/// Per-cell routing decision between the memoized planner and the
-/// unplanned route ([`QueryRoute::Kd`]).
+/// Stream repair's per-cell routing decision between the memoized
+/// planner and the unplanned route ([`QueryRoute::Kd`]). Repair caches
+/// per-point densities, so it cannot take Phase II's window path
+/// ([`crate::CellWindow`]), which stops summing at minPts.
 ///
 /// Building a [`CellQueryPlan`] is a fixed cost per cell — one window
 /// gather (sized when the gather was a kd search at radius `ε + diag`,
@@ -471,8 +419,8 @@ pub enum QueryRoute {
 /// deterministic, no clocks, so identical inputs always route
 /// identically.
 ///
-/// Routing never affects results: both paths are pinned bit-identical by
-/// the planned-vs-oracle equivalence suite, so the model is free to be a
+/// Routing never affects results: [`CellQueryPlan::query_into`] is pinned
+/// bit-identical to the per-point query, so the model is free to be a
 /// pure performance heuristic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannerCostModel {

@@ -41,19 +41,17 @@ pub struct QueryStats {
     /// sub-cells without any per-point distance test (subset of
     /// `cells_partial`).
     pub cells_planned_full: u32,
-    /// Occupied cells the cost model routed through the memoized planner
-    /// ([`crate::plan::PlannerCostModel`]).
+    /// Stream repair: occupied cells the cost model routed through the
+    /// memoized planner ([`crate::plan::PlannerCostModel`]). Phase II
+    /// builds no plan, so it leaves this zero.
     pub cells_routed_planned: u32,
-    /// Occupied cells the cost model routed past the planner (occupancy
-    /// below the plan-build break-even): in Phase II, cells answered from
-    /// their ε-window ([`crate::CellWindow`]), which the per-point
-    /// counters above do not cover; under the oracle routing and in
-    /// stream repair, cells whose points each ran the per-point query.
+    /// Occupied cells answered without a plan. In Phase II, every cell:
+    /// answered from its ε-window ([`crate::CellWindow`]), which the
+    /// per-point counters above do not cover, or under the oracle routing
+    /// by one per-point query per point. In stream repair, cells the cost
+    /// model routed past the planner (occupancy below the plan-build
+    /// break-even), whose points each ran the per-point query.
     pub cells_routed_kd: u32,
-    /// Points of planned cells resolved by the dense-cell path: the
-    /// plan's density floor proves them core, so no per-point query ran.
-    /// With `plan_hits` it covers every point of a planned cell.
-    pub points_dense: u32,
 }
 
 impl QueryStats {
@@ -70,7 +68,6 @@ impl QueryStats {
         self.cells_planned_full += other.cells_planned_full;
         self.cells_routed_planned += other.cells_routed_planned;
         self.cells_routed_kd += other.cells_routed_kd;
-        self.points_dense += other.points_dense;
     }
 }
 
@@ -159,32 +156,6 @@ pub(crate) fn cell_contribution(
             hits,
             density,
         }
-    })
-}
-
-/// Whether some row of `rows` (points, row-major) reaches the cell whose
-/// box starts at `lo` and whose sub-cell centres not yet known to qualify
-/// are `centers`: the row's box bounds admit the cell and the row either
-/// holds the whole box within ε or has one of those centres within ε.
-/// The rows are tried in order until the first hit. This is the per-cell
-/// successor rule of [`crate::CellQueryPlan::successors_into`] and
-/// [`crate::CellWindow::successors_into`]: the bounds and the kernel are
-/// those of the per-point query, so a row reaches the cell exactly when
-/// its query would list the cell in `neighbor_cells`.
-// lint:hot
-#[inline]
-pub(crate) fn reached_by_any(
-    lo: &[f64],
-    side: f64,
-    centers: &[f64],
-    eps2: f64,
-    rows: &[f64],
-) -> bool {
-    let dim = lo.len();
-    debug_assert_eq!(rows.len() % dim, 0, "ragged row buffer");
-    rows.chunks_exact(dim).any(|p| {
-        let (min_acc, max_acc) = box_dist2_bounds(lo, side, p);
-        min_acc <= eps2 && (max_acc <= eps2 || kernel::any_within(p, centers, dim, eps2))
     })
 }
 

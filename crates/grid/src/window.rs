@@ -1,8 +1,7 @@
-//! The per-cell answer for cells too sparse to plan.
+//! Phase II's per-cell answer.
 //!
-//! A cell below the planner's break-even occupancy holds a few points,
-//! and Phase II needs two facts about it: which of its points are core,
-//! and which cells its core points reach. Neither needs a per-point
+//! Phase II needs two facts about each cell: which of its points are
+//! core, and which cells its core points reach. Neither needs a per-point
 //! region query. [`CellWindow`] gathers the cell's ε-window once
 //! ([`DictionaryIndex::window_into`]) and answers both from it, with the
 //! two grid-DBSCAN techniques of Wang, Gu and Shun:
@@ -13,8 +12,7 @@
 //!   then by box-to-box gap) and stops as soon as the sum reaches minPts.
 //! * **Per-cell connectivity.** A window cell is a successor when one
 //!   core point reaches it, so the core points are tried per candidate
-//!   until the first hit ([`crate::query::reached_by_any`], the rule the
-//!   dense-cell path of [`crate::CellQueryPlan::successors_into`] uses).
+//!   until the first hit ([`CellWindow::successors_into`]).
 //!
 //! Every per-cell contribution is the one the per-point query computes
 //! (same box bounds, same kernel, same layout values), and the window
@@ -22,13 +20,15 @@
 //! equal those of [`DictionaryIndex::region_query_cells_into`]; only the
 //! order of the summation changes, and integer sums do not depend on it.
 
-use crate::query::{cell_contribution, reached_by_any};
+use crate::query::{box_dist2_bounds, cell_contribution};
 use crate::subdict::{DictionaryIndex, GatherScratch};
+use rpdbscan_geom::kernel;
 
 /// One cell's ε-window, gathered once and read by every point of the
 /// cell. Holds its buffers across gathers, so a caller that keeps one
-/// per partition allocates nothing in steady state; plan builds gather
-/// into it too ([`crate::CellQueryPlan::build_in`]).
+/// per partition allocates nothing in steady state; plan builds (stream
+/// repair, [`crate::PlanCache`]) gather into it too
+/// ([`crate::CellQueryPlan::build_in`]).
 ///
 /// Its methods take the index the window was gathered from.
 #[derive(Debug, Clone, Default)]
@@ -146,16 +146,30 @@ impl CellWindow {
     /// core points, row-major) reaches: the sorted, deduplicated union of
     /// the `neighbor_cells` their per-point queries would report, less
     /// the own cell.
+    ///
+    /// A row reaches a cell when its box bounds admit the cell and it
+    /// either holds the whole box within ε or has a sub-cell centre
+    /// within ε: the bounds and the kernel of the per-point query, so a
+    /// row reaches the cell exactly when its query would list the cell.
+    /// The rows are tried per cell until the first hit.
     // lint:hot
     pub fn successors_into(&self, index: &DictionaryIndex, rows: &[f64], out: &mut Vec<u32>) {
         let spec = index.spec();
         let layout = index.layout();
-        let eps2 = spec.eps() * spec.eps();
+        let (side, eps2) = (spec.side(), spec.eps() * spec.eps());
+        let dim = spec.dim();
+        debug_assert_eq!(rows.len() % dim, 0, "ragged row buffer");
         let from = out.len();
         for &c in &self.cells {
-            if c != self.own
-                && reached_by_any(layout.origin(c), spec.side(), layout.subs(c).0, eps2, rows)
-            {
+            if c == self.own {
+                continue;
+            }
+            let (lo, centers) = (layout.origin(c), layout.subs(c).0);
+            let reached = rows.chunks_exact(dim).any(|p| {
+                let (min_acc, max_acc) = box_dist2_bounds(lo, side, p);
+                min_acc <= eps2 && (max_acc <= eps2 || kernel::any_within(p, centers, dim, eps2))
+            });
+            if reached {
                 out.push(layout.id(c));
             }
         }

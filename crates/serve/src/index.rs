@@ -4,7 +4,7 @@
 //! epoch. Cells are hash-partitioned into `K` shards; each shard holds
 //! its cells' records — cluster label, sorted predecessor core cells,
 //! flat core-point coordinates, and the cell's box origin, sub-cell
-//! centres and `u32` sub-cell counts (the candidate fields the Phase II
+//! centres and `u32` sub-cell counts (the candidate fields the grid's
 //! query planner takes) — plus the point-id → label rows routed to it.
 //!
 //! Label resolution in [`ServingIndex::classify`] reproduces Phase III
@@ -17,8 +17,8 @@
 //! coordinate the clustering never saw) falls back to every core cell
 //! whose box is within ε, still visited in coordinate order.
 //!
-//! The density half of a classify is Phase II's own
-//! [`CellQueryPlan`], built by [`CellQueryPlan::from_candidates`] from
+//! The density half of a classify is the grid's [`CellQueryPlan`], the
+//! planner stream repair also runs, built by [`CellQueryPlan::from_candidates`] from
 //! the cell's lattice window: the never/always/tested classification
 //! and the per-point walk exist once, in `rpdbscan_grid::plan`.
 
@@ -64,7 +64,7 @@ pub struct Classification {
 pub(crate) type CellRef = (u32, u32);
 
 /// A memoised classify plan for one grid cell: the shard lookups of the
-/// label half, resolved once, and the density half as Phase II's own
+/// label half, resolved once, and the density half as the grid's
 /// [`CellQueryPlan`] over the cell's ε-window. Plans are bound to the
 /// generation of the index that built them — the server's LRU drops
 /// them on hot-swap, or carries them over a patch that left their
@@ -441,7 +441,7 @@ impl ServingIndex {
     /// Builds the classify plan for one grid cell: resolves every shard
     /// lookup of the label half a query landing in `coord` will need, and
     /// builds the density half from the cell's ε-window through the
-    /// Phase II classifier. Serving reads densities only, so window
+    /// planner's classifier. Serving reads densities only, so window
     /// candidates are numbered by position. Plans are pure functions of
     /// the index, so the server memoises them per cell — and
     /// pre-populates them at publish time.

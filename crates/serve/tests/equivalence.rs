@@ -108,7 +108,7 @@ fn classify_matches_streaming_snapshot_exactly() {
 
 #[test]
 fn planned_classify_matches_scalar_oracle_bit_for_bit() {
-    // The planned path (Phase II's plan built from the lattice window +
+    // The planned path (the grid's plan built from the lattice window +
     // chunked kernel) must reproduce the scalar reference *exactly* —
     // label and density — on indexed points, perturbed probes, probes
     // exactly on lattice corners and cell faces, probes in unoccupied

@@ -181,7 +181,7 @@ pub struct StreamStats {
     /// Total points ever removed.
     pub total_removed: u64,
     /// Query plans built across all epochs (changed cells the cost model
-    /// routed through the Phase II planner).
+    /// routed through the planner).
     pub plans_built: u64,
     /// Plan-cache hits across all epochs (a cell planned more than once
     /// within the same epoch).

@@ -35,6 +35,13 @@ pub fn hot_kernel_chunk<const DIM: usize>(q: &[f64], block: &[f64]) -> f64 {
 }
 
 // lint:hot
+pub fn hot_collects(xs: &[u32]) -> usize {
+    let doubled: Vec<u32> = xs.iter().map(|x| x * 2).collect();
+    let turbofish = xs.iter().copied().collect::<Vec<u32>>();
+    doubled.len() + turbofish.len()
+}
+
+// lint:hot
 pub fn hot_gather_clean(gathered: &mut Vec<u64>, key: u64) -> u64 {
     // Batch-amortised gather path: pre-sized scratch is not a finding.
     let mut out = Vec::with_capacity(1);
