@@ -1,34 +1,30 @@
-//! Planned vs unplanned vs *routed* `(ε,ρ)`-region query throughput.
+//! Per-cell window vs per-point `(ε,ρ)`-region query throughput.
 //!
-//! Stream repair answers one region query per point of a repaired cell,
-//! because it caches every point's density (Phase II needs only core
-//! flags and answers each cell from its ε-window instead). The
-//! cell-level planner (`CellQueryPlan`) amortises the kd-tree candidate
-//! search and sub-cell classification over all points of a cell, and the
-//! `PlannerCostModel` decides per cell whether that amortisation pays.
-//! This binary measures all three paths on two workload shapes:
+//! Stream repair caches every point's density, so it needs each new
+//! point's full `(ε,ρ)`-region density, not just a core flag. It answers
+//! a cell from its ε-window: one gather per cell (`CellWindow::gather`),
+//! then each point sums every window cell (`CellWindow::density`). This
+//! binary times that path against the per-point kd query it replaced,
+//! which stays as the correctness oracle, on two workload shapes:
 //!
-//! * **dense** — points packed ≥ 16 per cell, where one plan serves many
-//!   queries (the shape clustered data takes);
-//! * **sparse** — near-singleton cells (where plan builds amortise
-//!   poorly — the planner's historical 0.69× worst case) plus a thin
-//!   dense tail of blob cells, the shape real skewed data takes;
+//! * **dense** — points packed ≥ 16 per cell, where one gather serves
+//!   many points (the shape clustered data takes);
+//! * **sparse** — near-singleton cells, where a gather serves ~3 points,
+//!   plus a thin dense tail of blob cells, the shape skewed data takes;
 //!
-//! and three paths per shape:
+//! and two paths per shape:
 //!
-//! * **unplanned** — the per-point kd oracle;
-//! * **planned** — a plan per cell, unconditionally (the old
-//!   `use_query_planner = true` ablation);
-//! * **routed** — stream repair's rule: the cost model routes each cell
-//!   to whichever of the two is cheaper for its occupancy.
+//! * **oracle** — `DictionaryIndex::region_query_cells_into` per point;
+//! * **window** — one `CellWindow` gather per cell, then the full-window
+//!   density per point.
 //!
-//! All paths run identical per-point query sequences with densities
-//! cross-checked, so a divergence fails loudly — and the routed path is
-//! **gated**: the run aborts if routed speedup drops below 1.0× on
-//! either shape, which is what makes the bench-smoke CI job fail on a
-//! routing regression. Each repeat times all three paths, alternating
-//! which runs first; a speedup is the median over repeats of the paired
-//! per-repeat time ratios, so one noisy repeat cannot decide the gate.
+//! Both paths run identical per-point sequences with their density sums
+//! cross-checked, so a divergence fails loudly, and the window path is
+//! **gated**: the run aborts if it is slower than the oracle (< 1.0×) on
+//! either shape, which fails the CI smoke job. Each repeat times both
+//! paths, alternating which runs first; a speedup is the median over
+//! repeats of the paired per-repeat time ratios, so one noisy repeat
+//! cannot decide the gate.
 //!
 //! Results land in `BENCH_query.json` (plus the usual CSV under
 //! `target/experiments/`).
@@ -39,16 +35,13 @@
 //! ```
 //!
 //! `--smoke` shrinks the workload for CI: same code path, well-formed
-//! JSON, same routed gate, noisier timings.
+//! JSON, same gate, noisier timings.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpdbscan_bench::{scale, write_csv, RHO};
 use rpdbscan_core::partition::group_by_cell;
-use rpdbscan_grid::{
-    CellDictionary, CellQueryPlan, DictionaryIndex, GridSpec, PlannerCostModel, QueryRoute,
-    RegionQueryResult,
-};
+use rpdbscan_grid::{CellDictionary, CellWindow, DictionaryIndex, GridSpec, RegionQueryResult};
 use rpdbscan_json::{ToJson, Value};
 use std::io::Write;
 use std::time::Instant;
@@ -62,13 +55,8 @@ struct QueryRow {
     seconds: f64,
     qps: f64,
     ns_per_point: f64,
-    /// Speedup over the unplanned oracle (1.0 for unplanned itself).
-    speedup_vs_unplanned: f64,
-    /// Cells the path planned (all for `planned`, cost-model split for
-    /// `routed`, none for `unplanned`).
-    cells_planned: usize,
-    /// Cells the path sent down the per-point kd oracle.
-    cells_kd: usize,
+    /// Speedup over the per-point oracle (1.0 for the oracle itself).
+    speedup_vs_oracle: f64,
 }
 
 rpdbscan_json::impl_to_json!(QueryRow {
@@ -80,13 +68,11 @@ rpdbscan_json::impl_to_json!(QueryRow {
     seconds,
     qps,
     ns_per_point,
-    speedup_vs_unplanned,
-    cells_planned,
-    cells_kd
+    speedup_vs_oracle
 });
 
 /// Uniform points over `[0, extent)²` — cell occupancy is set by the
-/// extent/ε ratio, which is all that matters to the planner.
+/// extent/ε ratio.
 fn uniform(n: usize, extent: f64, seed: u64) -> rpdbscan_geom::Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut flat = Vec::with_capacity(n * 2);
@@ -97,10 +83,8 @@ fn uniform(n: usize, extent: f64, seed: u64) -> rpdbscan_geom::Dataset {
 }
 
 /// Mostly-uniform sparse field with a 5% dense tail in a few tight
-/// blobs. The uniform mass is near-singleton cells — the regime where
-/// unconditional planning historically lost — while the blob cells sit
-/// far above the routing threshold, so a correct cost model plans them
-/// and a broken one shows up as routed < 1.0×.
+/// blobs: near-singleton cells, where a window gather is amortised over
+/// the fewest points, plus a few heavy cells.
 fn sparse_with_tail(n: usize, extent: f64, seed: u64) -> rpdbscan_geom::Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let n_blob = n / 20;
@@ -137,47 +121,32 @@ fn bench_shape(
     let index = DictionaryIndex::new(dict, 1 << 16);
     let cells = group_by_cell(&spec, &data);
     let n_cells = cells.len();
-    let model = PlannerCostModel::calibrate(&index);
-    let cells_routed_planned = cells
-        .iter()
-        .filter(|c| model.route(c.points.len()) == QueryRoute::Planned)
-        .count();
 
-    // The three paths run interleaved per repeat, in reverse order every
+    // The two paths run interleaved per repeat, in reverse order every
     // other repeat, so drift (frequency scaling, cache state) and
-    // whichever path runs first hit all paths alike. Speedups are the
-    // median over repeats of the paired per-repeat ratios — the statistic
-    // the routed ≥ 1.0× gate reads — and `seconds` is the min.
+    // whichever path runs first hit both alike. Speedups are the median
+    // over repeats of the paired per-repeat ratios — the statistic the
+    // window ≥ 1.0× gate reads — and `seconds` is the min.
     let mut r = RegionQueryResult::default();
-    let mut times = vec![[0.0f64; 3]; repeats]; // unplanned, planned, routed
-    let mut density = [0u64; 3];
+    let mut window = CellWindow::default();
+    let mut times = vec![[0.0f64; 2]; repeats]; // oracle, window
+    let mut density = [0u64; 2];
     for (rep, t) in times.iter_mut().enumerate() {
-        let order = if rep % 2 == 0 { [0, 1, 2] } else { [2, 1, 0] };
+        let order = if rep % 2 == 0 { [0, 1] } else { [1, 0] };
         for path in order {
             let t0 = Instant::now(); // lint:allow(determinism-time): wall-clock timing is printed for the user, not fed into clustering results
             let mut d = 0u64;
             for cell in &cells {
-                // Unplanned runs the per-point kd path, result buffer
-                // reused as stream repair runs it; planned builds each
-                // cell's plan unconditionally (build time included — that
-                // is the real repair cost); routed is stream repair's
-                // rule, where the cost model picks per cell.
-                let planned = match path {
-                    0 => false,
-                    1 => true,
-                    _ => model.route(cell.points.len()) == QueryRoute::Planned,
-                };
-                if planned {
-                    let idx = index.dict().index_of(&cell.coord).expect("occupied cell");
-                    let plan = CellQueryPlan::build(&index, idx);
-                    for &pid in &cell.points {
-                        plan.query_into(data.point(pid), &mut r);
-                        d += r.density;
-                    }
-                } else {
+                if path == 0 {
                     for &pid in &cell.points {
                         index.region_query_cells_into(data.point(pid), &mut r);
                         d += r.density;
+                    }
+                } else {
+                    let idx = index.dict().index_of(&cell.coord).expect("occupied cell");
+                    window.gather(&index, idx);
+                    for &pid in &cell.points {
+                        d += window.density(&index, data.point(pid));
                     }
                 }
             }
@@ -185,6 +154,10 @@ fn bench_shape(
             density[path] = d;
         }
     }
+    assert_eq!(
+        density[1], density[0],
+        "{shape}: window path diverged from the oracle"
+    );
     let best = |path: usize| times.iter().map(|t| t[path]).fold(f64::INFINITY, f64::min);
     let speedup = |path: usize| {
         let mut ratios: Vec<f64> = times.iter().map(|t| t[0] / t[path]).collect();
@@ -196,17 +169,7 @@ fn bench_shape(
             (ratios[mid - 1] + ratios[mid]) / 2.0
         }
     };
-
-    assert_eq!(
-        density[1], density[0],
-        "{shape}: planned path diverged from the oracle"
-    );
-    assert_eq!(
-        density[2], density[0],
-        "{shape}: routed path diverged from the oracle"
-    );
-
-    let row = |name: &str, path: usize, planned: usize, kd: usize| QueryRow {
+    let row = |name: &str, path: usize| QueryRow {
         shape: shape.to_string(),
         path: name.to_string(),
         points: n,
@@ -215,25 +178,19 @@ fn bench_shape(
         seconds: best(path),
         qps: n as f64 / best(path),
         ns_per_point: best(path) * 1e9 / n as f64,
-        speedup_vs_unplanned: speedup(path),
-        cells_planned: planned,
-        cells_kd: kd,
+        speedup_vs_oracle: speedup(path),
     };
-    let rows = vec![
-        row("unplanned", 0, 0, n_cells),
-        row("planned", 1, n_cells, 0),
-        row(
-            "routed",
-            2,
-            cells_routed_planned,
-            n_cells - cells_routed_planned,
-        ),
-    ];
+    let rows = vec![row("oracle", 0), row("window", 1)];
     for r in &rows {
         println!(
-            "{:>7}/{:<9}: {:>8} pts, {:>6} cells ({:>7.1} pts/cell)  {:>8.1} ns/pt  {:>5.2}x  ({} planned / {} kd)",
-            r.shape, r.path, r.points, r.cells, r.points_per_cell, r.ns_per_point,
-            r.speedup_vs_unplanned, r.cells_planned, r.cells_kd
+            "{:>6}/{:<6}: {:>8} pts, {:>6} cells ({:>7.1} pts/cell)  {:>8.1} ns/pt  {:>5.2}x",
+            r.shape,
+            r.path,
+            r.points,
+            r.cells,
+            r.points_per_cell,
+            r.ns_per_point,
+            r.speedup_vs_oracle
         );
     }
     rows
@@ -255,16 +212,13 @@ fn main() {
     // points per cell (well past the ≥16 pts/cell dense regime).
     rows.extend(bench_shape("dense", uniform(n, 8.0, 42), 1.6, repeats));
     // eps=0.8, extent scaled with √n so uniform occupancy stays ~3
-    // pts/cell at every n (80 at the default 60k): near-singleton cells
-    // plus a 5% blob tail the router must pick out. Keeping occupancy
-    // scale-invariant keeps the routed win structural in smoke runs too
-    // — shrinking n at fixed extent would starve the blob cells and
-    // turn the ≥1.0× gate into a coin flip on timing noise. The sparse
-    // shape also keeps a larger smoke n than dense: its per-point cost
-    // is ~100× lower (near-singleton neighbourhoods), so a dense-sized
-    // smoke run would finish in single-digit milliseconds — below the
-    // noise floor the hard ≥1.0× gate needs — while dense at this n
-    // would dominate CI time.
+    // pts/cell at every n (80 at the default 60k): near-singleton cells,
+    // where a gather is amortised over the fewest points, plus a 5% blob
+    // tail. The sparse shape keeps a larger smoke n than dense: its
+    // per-point cost is ~100× lower (near-singleton neighbourhoods), so
+    // a dense-sized smoke run would finish in single-digit milliseconds,
+    // below the noise floor the hard ≥1.0× gate needs, while dense at
+    // this n would dominate CI time.
     let n_sparse = if smoke { 30_000 } else { n };
     let sparse_extent = 80.0 * (n_sparse as f64 / 60_000.0).sqrt();
     rows.extend(bench_shape(
@@ -274,19 +228,18 @@ fn main() {
         repeats,
     ));
 
-    // The routing gate: self-selection must never lose to the oracle on
-    // either shape. This is the assertion that turns a bench-smoke CI
-    // run red when a cost-model regression reintroduces the 0.69× case.
-    for r in rows.iter().filter(|r| r.path == "routed") {
+    // The window gate: stream repair's per-cell path must not lose to
+    // the per-point query it replaced, on either shape.
+    for r in rows.iter().filter(|r| r.path == "window") {
         assert!(
-            r.speedup_vs_unplanned >= 1.0,
-            "routed gate: {} shape at {:.3}x < 1.0x vs unplanned",
+            r.speedup_vs_oracle >= 1.0,
+            "window gate: {} shape at {:.3}x < 1.0x vs the oracle",
             r.shape,
-            r.speedup_vs_unplanned
+            r.speedup_vs_oracle
         );
         println!(
-            "routed gate: {} {:.2}x >= 1.0x ok",
-            r.shape, r.speedup_vs_unplanned
+            "window gate: {} {:.2}x >= 1.0x ok",
+            r.shape, r.speedup_vs_oracle
         );
     }
 

@@ -16,10 +16,7 @@
 //! while coordinates are stable for the lifetime of a cell.
 
 use rpdbscan_geom::dist2;
-use rpdbscan_grid::{
-    CellCoord, CellQueryPlan, DictionaryIndex, GridSpec, QueryStats, RegionQueryResult,
-    SubCellEntry, SubCellIdx,
-};
+use rpdbscan_grid::{CellCoord, CellWindow, DictionaryIndex, GridSpec, SubCellEntry, SubCellIdx};
 
 /// Re-derived state of one cell after a mutation epoch: the output of
 /// Algorithm 3's per-cell loop, expressed in stable cell coordinates.
@@ -38,84 +35,63 @@ pub struct CellRepair {
     /// quantity compared against `minPts`. Streaming callers cache these
     /// so later epochs can apply per-cell deltas instead of re-querying.
     pub densities: Vec<u64>,
-    /// Aggregated region-query instrumentation for the repair.
-    pub stats: QueryStats,
 }
 
 /// Recomputes one cell's core status, core-point set, and successor edges
 /// against the current dictionary — the unit of work of a streaming repair
 /// stage.
 ///
+/// The cell is answered from its ε-window, gathered once into `window`:
+/// each point's density is the full-window sum
+/// ([`CellWindow::density`]), the points at minPts or above are core, and
+/// the successors are the window cells a core point reaches
+/// ([`CellWindow::successors_into`]) — the per-point region query's
+/// densities and neighbour cells (DESIGN §5.2).
+///
 /// `points` are opaque caller ids (the stream crate's point slots);
 /// `point_of` resolves an id to its coordinates. The dictionary behind
 /// `index` must already reflect the epoch's mutations.
 pub fn recompute_cell<'a, F>(
     index: &DictionaryIndex,
+    window: &mut CellWindow,
     coord: &CellCoord,
     points: &[u32],
     point_of: F,
     min_pts: usize,
-) -> CellRepair
-where
-    F: Fn(u32) -> &'a [f64],
-{
-    recompute_cell_planned(index, coord, points, point_of, min_pts, None)
-}
-
-/// [`recompute_cell`] with an optional per-cell query plan: when `plan` is
-/// given (a [`CellQueryPlan`] built for `coord` against the same epoch's
-/// `index`), every point query is answered through it instead of the
-/// per-point [`DictionaryIndex::region_query_cells_into`]. Results are
-/// identical; the plan just amortises the candidate search over the
-/// cell's points.
-pub fn recompute_cell_planned<'a, F>(
-    index: &DictionaryIndex,
-    coord: &CellCoord,
-    points: &[u32],
-    point_of: F,
-    min_pts: usize,
-    plan: Option<&CellQueryPlan>,
 ) -> CellRepair
 where
     F: Fn(u32) -> &'a [f64],
 {
     let dict = index.dict();
-    let self_idx = dict.index_of(coord);
-    let mut core_points = Vec::new();
-    let mut densities = Vec::with_capacity(points.len());
-    let mut neighbor_idx: Vec<u32> = Vec::new();
-    let mut stats = QueryStats::default();
-    let mut r = RegionQueryResult::default();
-    for &id in points {
-        match plan {
-            Some(plan) => plan.query_into(point_of(id), &mut r),
-            None => index.region_query_cells_into(point_of(id), &mut r),
-        }
-        stats.merge(&r.stats);
-        densities.push(r.density);
-        if r.density >= min_pts as u64 {
-            core_points.push(id);
-            for &nc in &r.neighbor_cells {
-                if Some(nc) != self_idx {
-                    neighbor_idx.push(nc);
-                }
-            }
+    let mut repair = CellRepair {
+        is_core: false,
+        core_points: Vec::new(),
+        neighbors: Vec::new(),
+        densities: Vec::with_capacity(points.len()),
+    };
+    let Some(id) = dict.index_of(coord) else {
+        return repair; // an emptied cell: no points, nothing to answer
+    };
+    window.gather(index, id);
+    let mut core_rows = Vec::new();
+    for &p in points {
+        let q = point_of(p);
+        let density = window.density(index, q);
+        repair.densities.push(density);
+        if density >= min_pts as u64 {
+            repair.core_points.push(p);
+            core_rows.extend_from_slice(q);
         }
     }
-    neighbor_idx.sort_unstable();
-    neighbor_idx.dedup();
-    let mut neighbors: Vec<CellCoord> = neighbor_idx
+    let mut successors = Vec::new();
+    window.successors_into(index, &core_rows, &mut successors);
+    repair.neighbors = successors
         .into_iter()
         .map(|i| dict.entry(i).coord.clone())
         .collect();
-    neighbors.sort_unstable();
-    CellRepair {
-        is_core: !core_points.is_empty(),
-        core_points,
-        neighbors,
-        densities,
-        stats,
-    }
+    repair.neighbors.sort_unstable();
+    repair.is_core = !repair.core_points.is_empty();
+    repair
 }
 
 /// The `(ε,ρ)`-density one cell contributes to a query point: the summed
@@ -306,6 +282,7 @@ mod tests {
             let ids: Vec<u32> = cell.points.iter().map(|p| p.0).collect();
             let rep = recompute_cell(
                 &index,
+                &mut CellWindow::default(),
                 &cell.coord,
                 &ids,
                 |id| data.point(rpdbscan_geom::PointId(id)),
@@ -337,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn planned_recompute_matches_oracle_recompute() {
+    fn recompute_matches_per_point_queries() {
         let (spec, rows) = world();
         let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
         let dict = CellDictionary::build_from_points(spec.clone(), refs);
@@ -351,15 +328,29 @@ mod tests {
                 None => by_cell.push((c, vec![i as u32])),
             }
         }
+        let mut window = CellWindow::default();
         for (coord, ids) in &by_cell {
-            let idx = index.dict().index_of(coord).unwrap();
-            let plan = CellQueryPlan::build(&index, idx);
-            let planned = recompute_cell_planned(&index, coord, ids, point_of, 4, Some(&plan));
-            let oracle = recompute_cell(&index, coord, ids, point_of, 4);
-            assert_eq!(planned.is_core, oracle.is_core);
-            assert_eq!(planned.core_points, oracle.core_points);
-            assert_eq!(planned.neighbors, oracle.neighbors);
-            assert_eq!(planned.densities, oracle.densities);
+            let rep = recompute_cell(&index, &mut window, coord, ids, point_of, 4);
+            let own = index.dict().index_of(coord);
+            let (mut densities, mut cores, mut nbrs) = (Vec::new(), Vec::new(), Vec::new());
+            for &id in ids {
+                let r = index.region_query_cells(point_of(id));
+                densities.push(r.density);
+                if r.density >= 4 {
+                    cores.push(id);
+                    nbrs.extend(r.neighbor_cells.iter().filter(|&&c| Some(c) != own));
+                }
+            }
+            let mut nbrs: Vec<CellCoord> = nbrs
+                .into_iter()
+                .map(|c| index.dict().entry(c).coord.clone())
+                .collect();
+            nbrs.sort_unstable();
+            nbrs.dedup();
+            assert_eq!(rep.densities, densities, "cell {coord}");
+            assert_eq!(rep.core_points, cores, "cell {coord}");
+            assert_eq!(rep.is_core, !cores.is_empty());
+            assert_eq!(rep.neighbors, nbrs, "cell {coord}");
         }
     }
 
@@ -371,6 +362,7 @@ mod tests {
         let index = DictionaryIndex::single(dict);
         let rep = recompute_cell(
             &index,
+            &mut CellWindow::default(),
             &CellCoord::new([100, 100]),
             &[],
             |_| unreachable!("no points"),

@@ -15,10 +15,11 @@
 //! * [`DictionaryIndex::region_query_cells`] — the `(ε,ρ)`-region query
 //!   itself (Definition 5.1), read from the index's flat cell layout,
 //!   which keeps cells in coordinate order with a column directory;
-//! * [`CellWindow`] — Phase II's per-cell answer: the gathered ε-window
-//!   with early-exit core marking and per-cell successors;
-//! * [`CellQueryPlan`] — a memoized per-cell region query for stream
-//!   repair and serving's classify, which need every point's density.
+//! * [`CellWindow`] — the per-cell answer of Phase II and stream repair:
+//!   the gathered ε-window with early-exit core marking, exact full-window
+//!   densities and per-cell successors;
+//! * [`CellQueryPlan`] — a memoized per-cell region query for serving's
+//!   classify.
 //!
 //! The hash tables used throughout are keyed by integer lattice coordinates
 //! and use a local FxHash-style hasher ([`fxhash`]) because the default
@@ -39,10 +40,7 @@ pub mod window;
 pub use cell::{for_each_in_box, CellCoord, SubCellIdx};
 pub use dictionary::{CellDictionary, CellEntry, DecodeError, SubCellEntry};
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use plan::{
-    CellQueryPlan, PlanCache, PlanCacheStats, PlanCandidate, PlannerCostModel, QueryRoute,
-    PLAN_SLACK,
-};
+pub use plan::{CellQueryPlan, PlanCandidate, PLAN_SLACK};
 pub use query::{QueryStats, RegionQueryResult};
 pub use spec::GridSpec;
 pub use subdict::DictionaryIndex;

@@ -1,4 +1,5 @@
-//! Cell-level query planning for stream repair and serving's classify.
+//! Cell-level query planning for serving's classify, which needs each
+//! query point's density and neighbour cells against a published index.
 //!
 //! All points of one cell run nearly the same `(ε,ρ)`-region query: the
 //! sub-dictionary scan, the kd-tree candidate search, and most of the
@@ -48,8 +49,6 @@
 //! of the query cell can reach, so Lemma 5.6's candidate completeness
 //! carries over.
 
-use crate::cell::CellCoord;
-use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::query::{box_dist2_bounds, QueryStats, RegionQueryResult};
 use crate::spec::{box_box_dist2_bounds, GridSpec};
 use crate::subdict::DictionaryIndex;
@@ -86,9 +85,12 @@ pub struct PlanCandidate<'a> {
 
 /// A memoized `(ε,ρ)`-region query plan for one cell.
 ///
-/// Build once per cell with [`CellQueryPlan::build`] (or
-/// [`CellQueryPlan::from_candidates`]), then answer every point of that
-/// cell through [`CellQueryPlan::query_into`]. Results are
+/// Serving's classify builds one per cell with
+/// [`CellQueryPlan::from_candidates`] and caches it;
+/// [`CellQueryPlan::build`] plans from a [`DictionaryIndex`]'s ε-window,
+/// the form the equivalence tests pin. Every point of the cell is then
+/// answered through [`CellQueryPlan::query_into`] (or
+/// [`CellQueryPlan::density`]). Results are
 /// identical to [`DictionaryIndex::region_query_cells`] (density,
 /// neighbour-cell set, and the `cells_full`/`cells_partial`/
 /// `subcells_reported` counters); only the candidate counter differs,
@@ -132,13 +134,8 @@ impl CellQueryPlan {
     /// classifies it, in ascending dictionary order, through
     /// [`Self::from_candidates`].
     pub fn build(index: &DictionaryIndex, idx: u32) -> Self {
-        Self::build_in(index, idx, &mut CellWindow::default())
-    }
-
-    /// [`Self::build`], gathering into `window`: a caller that keeps one
-    /// across builds reuses its buffers.
-    pub fn build_in(index: &DictionaryIndex, idx: u32, window: &mut CellWindow) -> Self {
         let layout = index.layout();
+        let mut window = CellWindow::default();
         // Dictionary order, so the plan layout and the order of reported
         // neighbour cells do not depend on how the index stores cells.
         let cells = window.gather_by_id(index, idx);
@@ -384,190 +381,6 @@ impl CellQueryPlan {
     }
 }
 
-/// Route chosen by the [`PlannerCostModel`] for one occupied cell of a
-/// stream repair (`query_throughput` times the same rule).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryRoute {
-    /// Build a [`CellQueryPlan`] and answer every point through
-    /// [`CellQueryPlan::query_into`].
-    Planned,
-    /// No plan: the cell is too sparse to amortise a plan build, so each
-    /// point runs the per-point kd query
-    /// ([`DictionaryIndex::region_query_cells_into`]).
-    Kd,
-}
-
-/// Stream repair's per-cell routing decision between the memoized
-/// planner and the unplanned route ([`QueryRoute::Kd`]). Repair caches
-/// per-point densities, so it cannot take Phase II's window path
-/// ([`crate::CellWindow`]), which stops summing at minPts.
-///
-/// Building a [`CellQueryPlan`] is a fixed cost per cell — one window
-/// gather (sized when the gather was a kd search at radius `ε + diag`,
-/// sweeping `(4/3)^d` the volume of a per-point search, whose radius is
-/// `ε + diag/2`) plus a classification pass over the gathered
-/// candidates — while each planned query saves part of a kd point
-/// query. The break-even occupancy is taken as `build_cost / 0.85`
-/// point queries, the saving measured when a planned query cost ~0.15×
-/// of a kd one. Since kd queries read the index's flat layout, a planned
-/// query costs ~0.4–0.75× of a kd one (BENCH_query: dense 1.3×, builds
-/// included), so the formula overstates the saving; up to 6 dimensions
-/// the floor sets the threshold. Below break-even, planning is pure
-/// overhead: planning every cell of BENCH_query's sparse shape runs at
-/// 0.60×. The model is **calibrated once per dictionary build** from
-/// structural quantities only (dimension), with a conservative floor —
-/// deterministic, no clocks, so identical inputs always route
-/// identically.
-///
-/// Routing never affects results: [`CellQueryPlan::query_into`] is pinned
-/// bit-identical to the per-point query, so the model is free to be a
-/// pure performance heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannerCostModel {
-    /// Minimum cell occupancy (query points per cell) at which plan
-    /// construction amortises; cells below it route to the kd path.
-    pub min_occupancy: u32,
-}
-
-impl PlannerCostModel {
-    /// Conservative floor on the break-even occupancy: even when the
-    /// dimensional estimate predicts a lower break-even, cells must hold
-    /// at least this many points before a plan is built. Keeps routing
-    /// robustly on the kd path for sparse workloads (~3 points/cell)
-    /// where the planner measures 0.60×.
-    pub const MIN_OCCUPANCY_FLOOR: u32 = 8;
-
-    /// Calibrates the model for one dictionary build.
-    pub fn calibrate(index: &DictionaryIndex) -> Self {
-        Self::from_dim(index.spec().dim())
-    }
-
-    /// Model from structural quantities alone (integer arithmetic in
-    /// milli-units; deterministic across platforms).
-    pub fn from_dim(dim: usize) -> Self {
-        // (4/3)^d volume inflation of the cell-level kd search relative
-        // to a per-point search, in milli-units.
-        let mut inflation = 1000u64;
-        for _ in 0..dim.min(16) {
-            inflation = inflation * 4 / 3;
-        }
-        // Build cost in point-query equivalents: the inflated kd search
-        // plus one candidate classification pass.
-        let build_cost = 1000 + inflation;
-        // Break-even = build_cost / 0.85 (the measured per-point saving
-        // of the planned steady state), rounded up.
-        let break_even = (build_cost * 20).div_ceil(17 * 1000);
-        Self {
-            min_occupancy: (break_even as u32).max(Self::MIN_OCCUPANCY_FLOOR),
-        }
-    }
-
-    /// Routes a cell with `occupancy` resident query points.
-    #[inline]
-    pub fn route(&self, occupancy: usize) -> QueryRoute {
-        if occupancy >= self.min_occupancy as usize {
-            QueryRoute::Planned
-        } else {
-            QueryRoute::Kd
-        }
-    }
-}
-
-/// Per-run cache counters of a [`PlanCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Plans built (cache misses).
-    pub built: u64,
-    /// Queries served by an already-built plan of the current epoch.
-    pub hits: u64,
-    /// Previously planned cells whose plan was dropped because the cell
-    /// was dirtied by an update.
-    pub invalidated: u64,
-}
-
-/// Coordinate-keyed plan memo for the streaming repair path.
-///
-/// Dictionary indices — and therefore every index stored inside a
-/// [`CellQueryPlan`] — are *epoch-scoped*: the streaming engine compacts
-/// the dictionary and rebuilds its [`DictionaryIndex`] on every repair
-/// epoch, so a plan must never be applied across epochs. The cache
-/// enforces that rule structurally: [`PlanCache::begin_epoch`] drops all
-/// cached plans and records, per dirty cell that had a plan, an
-/// invalidation. Within an epoch, plans are shared by every query point
-/// of the same cell.
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    /// Plans of the current epoch only.
-    epoch_plans: FxHashMap<CellCoord, CellQueryPlan>,
-    /// Coordinates planned in any epoch — the set invalidations are
-    /// charged against.
-    planned: FxHashSet<CellCoord>,
-    stats: PlanCacheStats,
-    /// Gather buffers shared by the cache's plan builds.
-    window: CellWindow,
-}
-
-impl PlanCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts a repair epoch: drops every cached plan (indices from the
-    /// previous epoch are invalid) and counts an invalidation for each
-    /// `dirty` cell that had been planned before.
-    pub fn begin_epoch<'a>(&mut self, dirty: impl IntoIterator<Item = &'a CellCoord>) {
-        for c in dirty {
-            if self.planned.remove(c) {
-                self.stats.invalidated += 1;
-            }
-        }
-        self.epoch_plans.clear();
-    }
-
-    /// Returns the current epoch's plan for `coord`, building it on first
-    /// use. `None` when `coord` is not an occupied cell of the index.
-    pub fn get_or_build(
-        &mut self,
-        index: &DictionaryIndex,
-        coord: &CellCoord,
-    ) -> Option<&CellQueryPlan> {
-        let idx = index.dict().index_of(coord)?;
-        if self.epoch_plans.contains_key(coord) {
-            self.stats.hits += 1;
-        } else {
-            self.stats.built += 1;
-            self.planned.insert(coord.clone());
-            self.epoch_plans.insert(
-                coord.clone(),
-                CellQueryPlan::build_in(index, idx, &mut self.window),
-            );
-        }
-        self.epoch_plans.get(coord)
-    }
-
-    /// Read-only lookup into the current epoch (for parallel stages that
-    /// share a prebuilt cache).
-    pub fn get(&self, coord: &CellCoord) -> Option<&CellQueryPlan> {
-        self.epoch_plans.get(coord)
-    }
-
-    /// Number of plans held for the current epoch.
-    pub fn len(&self) -> usize {
-        self.epoch_plans.len()
-    }
-
-    /// True when no plan is cached for the current epoch.
-    pub fn is_empty(&self) -> bool {
-        self.epoch_plans.is_empty()
-    }
-
-    /// Cache counters.
-    pub fn stats(&self) -> PlanCacheStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -641,53 +454,5 @@ mod tests {
             );
             assert_eq!(plan.build_stats().plans_built, 1);
         }
-    }
-
-    #[test]
-    fn cost_model_floor_makes_sparse_cells_unplannable() {
-        for dim in 1..=6 {
-            let m = PlannerCostModel::from_dim(dim);
-            assert!(m.min_occupancy >= PlannerCostModel::MIN_OCCUPANCY_FLOOR);
-            // Every occupancy below the threshold routes kd — this is the
-            // structural guarantee behind the sparse-workload regression
-            // test: a cell can only be planned at or above break-even.
-            for occ in 0..m.min_occupancy as usize {
-                assert_eq!(m.route(occ), QueryRoute::Kd, "dim={dim} occ={occ}");
-            }
-            assert_eq!(m.route(m.min_occupancy as usize), QueryRoute::Planned);
-            assert_eq!(m.route(1_000_000), QueryRoute::Planned);
-        }
-    }
-
-    #[test]
-    fn cost_model_is_deterministic_per_build() {
-        let dict = random_dict(41, 300, 3, 1.0, 0.5);
-        let idx = DictionaryIndex::new(dict, 64);
-        let a = PlannerCostModel::calibrate(&idx);
-        let b = PlannerCostModel::calibrate(&idx);
-        assert_eq!(a, b);
-        assert_eq!(a, PlannerCostModel::from_dim(3));
-    }
-
-    #[test]
-    fn cache_memoizes_within_epoch_and_invalidates_dirty_cells() {
-        let dict = random_dict(31, 200, 2, 1.0, 0.5);
-        let idx = DictionaryIndex::new(dict, 64);
-        let coord = idx.dict().entry(0).coord.clone();
-        let mut cache = PlanCache::new();
-        assert!(cache.get_or_build(&idx, &coord).is_some());
-        assert!(cache.get_or_build(&idx, &coord).is_some());
-        assert_eq!(cache.stats().built, 1);
-        assert_eq!(cache.stats().hits, 1);
-        // Next epoch dirties that cell: its plan counts as invalidated and
-        // is rebuilt on next use.
-        cache.begin_epoch([&coord]);
-        assert!(cache.get(&coord).is_none());
-        assert_eq!(cache.stats().invalidated, 1);
-        assert!(cache.get_or_build(&idx, &coord).is_some());
-        assert_eq!(cache.stats().built, 2);
-        // A coordinate outside the dictionary has no plan.
-        let missing = CellCoord::new([1_000, 1_000]);
-        assert!(cache.get_or_build(&idx, &missing).is_none());
     }
 }

@@ -41,16 +41,13 @@ pub struct QueryStats {
     /// sub-cells without any per-point distance test (subset of
     /// `cells_partial`).
     pub cells_planned_full: u32,
-    /// Stream repair: occupied cells the cost model routed through the
-    /// memoized planner ([`crate::plan::PlannerCostModel`]). Phase II
-    /// builds no plan, so it leaves this zero.
+    /// Occupied cells answered through a memoized plan. Phase II builds
+    /// no plan, so it leaves this zero.
     pub cells_routed_planned: u32,
     /// Occupied cells answered without a plan. In Phase II, every cell:
     /// answered from its ε-window ([`crate::CellWindow`]), which the
     /// per-point counters above do not cover, or under the oracle routing
-    /// by one per-point query per point. In stream repair, cells the cost
-    /// model routed past the planner (occupancy below the plan-build
-    /// break-even), whose points each ran the per-point query.
+    /// by one per-point query per point.
     pub cells_routed_kd: u32,
 }
 
@@ -127,7 +124,7 @@ pub(crate) struct CellContribution {
 /// box bounds rule the cell out. A fully contained cell adds `total`
 /// with no centre tested; otherwise the kernel sums the centres within
 /// ε. [`DictionaryIndex::region_query_cells_into`] and
-/// [`crate::CellWindow::is_core`] both step through it, so they count
+/// [`crate::CellWindow`]'s density sums both step through it, so they count
 /// the same density for every cell.
 // lint:hot
 #[inline]

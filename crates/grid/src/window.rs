@@ -1,4 +1,4 @@
-//! Phase II's per-cell answer.
+//! The per-cell answer of Phase II and of stream repair.
 //!
 //! Phase II needs two facts about each cell: which of its points are
 //! core, and which cells its core points reach. Neither needs a per-point
@@ -14,6 +14,9 @@
 //!   core point reaches it, so the core points are tried per candidate
 //!   until the first hit ([`CellWindow::successors_into`]).
 //!
+//! Stream repair caches every point's density, so it sums the whole
+//! window instead, with no early exit ([`CellWindow::density`]).
+//!
 //! Every per-cell contribution is the one the per-point query computes
 //! (same box bounds, same kernel, same layout values), and the window
 //! holds every cell that query can count, so core flags and successors
@@ -26,9 +29,8 @@ use rpdbscan_geom::kernel;
 
 /// One cell's ε-window, gathered once and read by every point of the
 /// cell. Holds its buffers across gathers, so a caller that keeps one
-/// per partition allocates nothing in steady state; plan builds (stream
-/// repair, [`crate::PlanCache`]) gather into it too
-/// ([`crate::CellQueryPlan::build_in`]).
+/// per partition (Phase II) or per repair task (stream repair) allocates
+/// nothing in steady state.
 ///
 /// Its methods take the index the window was gathered from.
 #[derive(Debug, Clone, Default)]
@@ -119,13 +121,28 @@ impl CellWindow {
     /// Whether `p` (a point of the cell) has region-query density of at
     /// least `min_pts`, i.e. is a core point. Sums the window nearest
     /// first and stops at `min_pts`.
-    // lint:hot
     pub fn is_core(&self, index: &DictionaryIndex, p: &[f64], min_pts: u64) -> bool {
+        self.density_until(index, p, min_pts) >= min_pts
+    }
+
+    /// The region-query density of `p` (a point of the cell): the sum
+    /// over every window cell, with no early exit. Equals the `density`
+    /// of [`DictionaryIndex::region_query_cells`], because the window
+    /// holds every cell that query can count.
+    pub fn density(&self, index: &DictionaryIndex, p: &[f64]) -> u64 {
+        self.density_until(index, p, u64::MAX)
+    }
+
+    /// Sums the window's contributions to the density of `p` nearest
+    /// first, stopping once the sum reaches `stop`.
+    // lint:hot
+    #[inline]
+    fn density_until(&self, index: &DictionaryIndex, p: &[f64], stop: u64) -> u64 {
         let spec = index.spec();
         let layout = index.layout();
         let eps2 = spec.eps() * spec.eps();
         let mut density = 0u64;
-        self.cells.iter().any(|&c| {
+        for &c in &self.cells {
             let Some(contribution) = cell_contribution(
                 layout.origin(c),
                 spec.side(),
@@ -134,11 +151,14 @@ impl CellWindow {
                 eps2,
                 p,
             ) else {
-                return false;
+                continue;
             };
             density += contribution.density;
-            density >= min_pts
-        })
+            if density >= stop {
+                break;
+            }
+        }
+        density
     }
 
     /// Appends to `out`, ascending, the dictionary id of every window
@@ -188,8 +208,15 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// `n` points in `[0, extent)^dim`, summarised into a dictionary whose
-    /// ids follow a shuffled (deal-like) order, not coordinate order.
-    fn shuffled_dict(seed: u64, n: usize, dim: usize, extent: f64, rho: f64) -> CellDictionary {
+    /// ids follow a shuffled (deal-like) order, not coordinate order;
+    /// returned with the points.
+    fn shuffled_dict(
+        seed: u64,
+        n: usize,
+        dim: usize,
+        extent: f64,
+        rho: f64,
+    ) -> (CellDictionary, Vec<Vec<f64>>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let spec = GridSpec::new(dim, 0.9, rho).unwrap();
         let pts: Vec<Vec<f64>> = (0..n)
@@ -199,7 +226,7 @@ mod tests {
             CellDictionary::build_from_points(spec.clone(), pts.iter().map(|p| p.as_slice()));
         let mut entries: Vec<CellEntry> = sorted.cells().to_vec();
         entries.shuffle(&mut rng);
-        CellDictionary::from_entries(spec, entries)
+        (CellDictionary::from_entries(spec, entries), pts)
     }
 
     /// The brute-force window: every dictionary cell `in_eps_window`
@@ -217,13 +244,19 @@ mod tests {
     #[test]
     fn window_into_matches_brute_force_scan_on_both_gathers() {
         let (mut scratch, mut out) = (GatherScratch::default(), Vec::new());
+        let mut window = CellWindow::default();
         let (mut walked, mut searched) = (0, 0);
         for dim in 1..=5 {
             // A small extent fills few columns, a large one many: the
             // stencil's column bound and the gather rule's cost estimate
             // take both gathers across the sweep.
             for (extent, n) in [(2.0, 40), (12.0, 400)] {
-                let dict = shuffled_dict(dim as u64 * 31 + n as u64, n, dim, extent, 0.25);
+                let (dict, pts) = shuffled_dict(dim as u64 * 31 + n as u64, n, dim, extent, 0.25);
+                let mut members: Vec<Vec<&[f64]>> = vec![Vec::new(); dict.num_cells()];
+                for p in &pts {
+                    let id = dict.index_of(&dict.spec().cell_of(p)).unwrap();
+                    members[id as usize].push(p);
+                }
                 for cap in [1, 16, u64::MAX] {
                     let idx = DictionaryIndex::new(dict.clone(), cap);
                     if idx.column_walks() {
@@ -239,6 +272,12 @@ mod tests {
                         ids.sort_unstable();
                         let at = format!("dim {dim} n {n} cap {cap} cell {id}");
                         assert_eq!(ids, brute_window(&dict, id), "{at}");
+                        // The full-window density is the per-point query's.
+                        window.gather(&idx, id);
+                        for &p in &members[id as usize] {
+                            let want = idx.region_query_cells(p).density;
+                            assert_eq!(window.density(&idx, p), want, "{at}");
+                        }
                     }
                 }
             }
@@ -251,7 +290,7 @@ mod tests {
 
     #[test]
     fn window_is_nearest_first_and_totals_its_cells() {
-        let dict = shuffled_dict(5, 300, 3, 6.0, 0.1);
+        let (dict, _) = shuffled_dict(5, 300, 3, 6.0, 0.1);
         let idx = DictionaryIndex::new(dict.clone(), 32);
         let mut w = CellWindow::default();
         for id in 0..dict.num_cells() as u32 {

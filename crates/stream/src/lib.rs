@@ -31,16 +31,15 @@
 #![warn(missing_docs)]
 
 use rpdbscan_core::repair::{
-    assign_border_point, cell_contribution, contribution_delta, recompute_cell_planned, sub_diff,
+    assign_border_point, cell_contribution, contribution_delta, recompute_cell, sub_diff,
     CellRepair, SubDiff,
 };
 use rpdbscan_core::{CellExport, RpDbscanParams};
 use rpdbscan_engine::{epoch_stage_name, CostModel, Engine, EngineReport, StageError};
 use rpdbscan_geom::{dist2, Dataset};
 use rpdbscan_grid::{
-    for_each_in_box, CellCoord, CellDictionary, DecodeError, DictionaryIndex, FxHashMap, FxHashSet,
-    GridError, GridSpec, PlanCache, PlannerCostModel, QueryRoute, QueryStats, RegionQueryResult,
-    SubCellEntry,
+    for_each_in_box, CellCoord, CellDictionary, CellWindow, DecodeError, DictionaryIndex,
+    FxHashMap, FxHashSet, GridError, GridSpec, SubCellEntry,
 };
 use rpdbscan_metrics::Clustering;
 
@@ -180,26 +179,6 @@ pub struct StreamStats {
     pub total_inserted: u64,
     /// Total points ever removed.
     pub total_removed: u64,
-    /// Query plans built across all epochs (changed cells the cost model
-    /// routed through the planner).
-    pub plans_built: u64,
-    /// Plan-cache hits across all epochs (a cell planned more than once
-    /// within the same epoch).
-    pub plan_hits: u64,
-    /// Plans dropped because their cell was dirtied by a later epoch
-    /// (dictionary indices are epoch-scoped, so a dirtied cell's plan must
-    /// be rebuilt before reuse).
-    pub plans_invalidated: u64,
-    /// Changed cells the cost model routed through the planner, across
-    /// all epochs (occupancy at or above the break-even threshold).
-    pub cells_routed_planned: u64,
-    /// Changed cells the cost model routed through the per-point kd
-    /// path, across all epochs.
-    pub cells_routed_kd: u64,
-    /// The cost model's break-even occupancy (recalibrated each repair
-    /// epoch against the compacted dictionary; structural, so it only
-    /// changes if the dimensionality model does).
-    pub route_min_occupancy: u32,
 }
 
 /// A consistent view of the clustering at one epoch.
@@ -299,8 +278,8 @@ pub struct StreamingRpDbscan {
     coords: Vec<f64>,
     live: Vec<bool>,
     /// Cached `(ε,ρ)`-region density per live slot, kept current by the
-    /// repair stage: full region queries for changed cells, per-cell
-    /// deltas for cells that merely sit within ε of one.
+    /// repair stage: full-window sums for new points, per-cell deltas for
+    /// the rest.
     density: Vec<u64>,
     free: Vec<u32>,
     n_live: usize,
@@ -320,10 +299,6 @@ pub struct StreamingRpDbscan {
     /// Stored as a coordinate so cluster renumbering between epochs never
     /// invalidates it; resolved to a cluster id at snapshot time.
     border_label: FxHashMap<u32, CellCoord>,
-    /// Memoized per-cell query plans for the repair stage. Plans embed
-    /// epoch-scoped dictionary indices, so the cache is flushed (and dirty
-    /// cells' plans counted as invalidated) at the start of every epoch.
-    plan_cache: PlanCache,
     /// Last epoch each cell's *serve-visible* record changed: its point
     /// membership, core set, successor edges, or predecessor list.
     /// Coordinates of removed cells keep their removal epoch, so a delta
@@ -400,7 +375,6 @@ impl StreamingRpDbscan {
             cluster_of_cell: FxHashMap::default(),
             num_clusters: 0,
             border_label: FxHashMap::default(),
-            plan_cache: PlanCache::new(),
             touched_epoch: FxHashMap::default(),
             recent_dirty: std::collections::VecDeque::new(),
             recent_removed: std::collections::VecDeque::new(),
@@ -953,15 +927,18 @@ impl StreamingRpDbscan {
     /// re-label the border points whose predecessors changed (stage
     /// `relabel`).
     ///
-    /// Changed cells (those that gained or lost points) get a full
-    /// per-point region-query recomputation. The remaining dirty cells —
-    /// unchanged cells within ε of a changed one — are repaired by
-    /// *deltas*: each cached point density is adjusted by the changed
-    /// cells' new-minus-old sub-cell contributions, and only edges toward
-    /// changed cells are rechecked. The delta arithmetic reuses the region
-    /// query's own per-cell step ([`cell_contribution`]), and densities
-    /// are exact `u64` counts, so the result is identical to a full
-    /// recomputation.
+    /// Cached densities move by *deltas*: each is adjusted by the changed
+    /// cells' new-minus-old sub-cell contributions. The delta arithmetic
+    /// reuses the region query's own per-cell step ([`cell_contribution`]),
+    /// and densities are exact `u64` counts, so the result is identical to
+    /// a full recomputation. In a changed cell (one that gained or lost
+    /// points), new points have no cached density: they are answered from
+    /// the cell's ε-window ([`CellWindow::density`]), gathered once, and
+    /// new or newly promoted core points take their successors from the
+    /// same window. The remaining dirty cells — unchanged cells within ε
+    /// of a changed one — recheck only their edges toward changed cells,
+    /// unless a density crossed minPts; then the whole cell is
+    /// recomputed from its window ([`recompute_cell`]).
     fn run_repair_epoch(
         &mut self,
         changed: Vec<CellCoord>,
@@ -978,33 +955,6 @@ impl StreamingRpDbscan {
         // region queries: empty entries would still contribute vertices.
         self.dict.compact();
         let index = DictionaryIndex::single(self.dict.clone());
-
-        // Plans embed this epoch's dictionary indices: drop every cached
-        // plan (counting invalidations for dirtied cells), then prebuild a
-        // plan for each changed cell that will run full region queries —
-        // the cells holding this batch's new points — *if* the cost model
-        // says the cell's occupancy amortises a plan build; sparse cells
-        // stay on the per-point kd path. The parallel repair stage reads
-        // the cache through `PlanCache::get` only.
-        // lint:allow(unordered-iter): dirty is a sorted Vec here (the name shadows dirty_region's map), and begin_epoch only removes coords from a set and counts — order-insensitive
-        self.plan_cache.begin_epoch(dirty.iter().map(|(c, _)| c));
-        let model = PlannerCostModel::calibrate(&index);
-        self.stats.route_min_occupancy = model.min_occupancy;
-        for c in &changed {
-            let Some(state) = self.cells.get(c) else {
-                continue; // the batch emptied this cell
-            };
-            if !state.points.iter().any(|p| new_slots.contains(p)) {
-                continue; // removal-only change: no full queries to plan for
-            }
-            match model.route(state.points.len()) {
-                QueryRoute::Planned => {
-                    self.stats.cells_routed_planned += 1;
-                    let _ = self.plan_cache.get_or_build(&index, c);
-                }
-                QueryRoute::Kd => self.stats.cells_routed_kd += 1,
-            }
-        }
 
         // One sub-cell diff per changed cell: cached densities then move by
         // `contribution_delta` over these few entries instead of two full
@@ -1029,7 +979,6 @@ impl StreamingRpDbscan {
             let changed_set = &changed_set;
             let sub_diffs = &sub_diffs;
             let new_slots = &new_slots;
-            let plans = &self.plan_cache;
             let name = epoch_stage_name(self.epoch, "repair");
             let empty: &[u32] = &[];
             let no_cells: &[CellCoord] = &[];
@@ -1073,7 +1022,8 @@ impl StreamingRpDbscan {
                             })
                         };
                         let mut scratch = vec![0.0; dim];
-                        let mut query = RegionQueryResult::default();
+                        let mut window = CellWindow::default();
+                        let mut fresh_rows: Vec<f64> = Vec::new();
                         let mut srcs: Vec<&SubDiff> = Vec::new();
                         let mut dlt_buf: Vec<i64> = Vec::new();
                         let mut out: Vec<(CellCoord, Repair)> = Vec::with_capacity(chunk.len());
@@ -1083,45 +1033,33 @@ impl StreamingRpDbscan {
                             srcs.extend(sources.iter().map(|y| &sub_diffs[y]));
                             if changed_set.contains(&c) {
                                 // The cell's own point set changed. New
-                                // points get full region queries (they have
-                                // no cached density); surviving points get
-                                // density deltas. Edges come from three
-                                // sources: the queries of new and
+                                // points have no cached density and are
+                                // answered from the cell's ε-window;
+                                // surviving points get density deltas.
+                                // Edges come from three sources: the
+                                // window successors of new and
                                 // newly-promoted core points, the previous
                                 // edge list (a surviving core's
                                 // qualification against an unchanged cell
                                 // is static), and the sub-cell diffs of
                                 // changed cells.
-                                let self_idx = index.dict().index_of(&c);
-                                // Prebuilt plan for this cell's full
-                                // queries (None when the planner is off or
-                                // the cell holds no new point).
-                                let plan = plans.get(&c);
                                 let (old_core_list, state_nbrs) =
                                     cells.get(&c).map_or((empty, no_cells), |s| {
                                         (s.core_points.as_slice(), s.neighbors.as_slice())
                                     });
                                 let old_core_set: FxHashSet<u32> =
                                     old_core_list.iter().copied().collect();
+                                // A cell the batch emptied is absent from
+                                // the dictionary, and has no point to
+                                // read the window for.
+                                if let Some(id) = index.dict().index_of(&c) {
+                                    window.gather(&index, id);
+                                }
                                 let mut densities: Vec<u64> = Vec::with_capacity(pts.len());
-                                let mut stats = QueryStats::default();
-                                let mut new_neighbor_idx: Vec<u32> = Vec::new();
                                 for &p in pts {
                                     let q = point_of(p);
                                     if new_slots.contains(&p) {
-                                        match plan {
-                                            Some(plan) => plan.query_into(q, &mut query),
-                                            None => index.region_query_cells_into(q, &mut query),
-                                        }
-                                        stats.merge(&query.stats);
-                                        densities.push(query.density);
-                                        if query.density >= min_pts {
-                                            for &nc in &query.neighbor_cells {
-                                                if Some(nc) != self_idx {
-                                                    new_neighbor_idx.push(nc);
-                                                }
-                                            }
-                                        }
+                                        densities.push(window.density(&index, q));
                                     } else {
                                         let mut d = density[p as usize] as i64;
                                         for (y, diff) in sources.iter().zip(srcs.iter()) {
@@ -1136,28 +1074,18 @@ impl StreamingRpDbscan {
                                     .filter(|(_, &d)| d >= min_pts)
                                     .map(|(&p, _)| p)
                                     .collect();
-                                // Newly-promoted pre-existing cores have no
-                                // cached edge information either: query them
-                                // in full (rare — promotion needs a density
-                                // crossing exactly this epoch).
-                                for (&p, &d) in pts.iter().zip(densities.iter()) {
-                                    if d >= min_pts
-                                        && !new_slots.contains(&p)
-                                        && !old_core_set.contains(&p)
-                                    {
-                                        match plan {
-                                            Some(plan) => plan.query_into(point_of(p), &mut query),
-                                            None => index
-                                                .region_query_cells_into(point_of(p), &mut query),
-                                        }
-                                        stats.merge(&query.stats);
-                                        for &nc in &query.neighbor_cells {
-                                            if Some(nc) != self_idx {
-                                                new_neighbor_idx.push(nc);
-                                            }
-                                        }
+                                // Core points with no cached edges — new
+                                // ones, and pre-existing points promoted
+                                // this epoch — take their successors from
+                                // the window.
+                                fresh_rows.clear();
+                                for &p in &core_points {
+                                    if new_slots.contains(&p) || !old_core_set.contains(&p) {
+                                        fresh_rows.extend_from_slice(point_of(p));
                                     }
                                 }
+                                let mut new_neighbor_idx: Vec<u32> = Vec::new();
+                                window.successors_into(&index, &fresh_rows, &mut new_neighbor_idx);
                                 let survivors: Vec<u32> = core_points
                                     .iter()
                                     .copied()
@@ -1166,8 +1094,6 @@ impl StreamingRpDbscan {
                                 let core_now: FxHashSet<u32> =
                                     core_points.iter().copied().collect();
                                 let lost_any = old_core_list.iter().any(|p| !core_now.contains(p));
-                                new_neighbor_idx.sort_unstable();
-                                new_neighbor_idx.dedup();
                                 let mut neighbors: Vec<CellCoord> = new_neighbor_idx
                                     .into_iter()
                                     .map(|i| index.dict().entry(i).coord.clone())
@@ -1230,7 +1156,6 @@ impl StreamingRpDbscan {
                                         core_points,
                                         neighbors,
                                         densities,
-                                        stats,
                                     }),
                                 ));
                                 continue;
@@ -1262,17 +1187,13 @@ impl StreamingRpDbscan {
                                     (d >= min_pts) != ((d as i64 + dlt) as u64 >= min_pts)
                                 });
                                 if crossed {
-                                    // Unchanged cells are never prebuilt, so
-                                    // the plan lookup misses and this runs
-                                    // the oracle path — the planned variant
-                                    // keeps one code path either way.
-                                    let rep = recompute_cell_planned(
+                                    let rep = recompute_cell(
                                         &index,
+                                        &mut window,
                                         &c,
                                         pts,
                                         point_of,
                                         min_pts as usize,
-                                        plans.get(&c),
                                     );
                                     out.push((c, Repair::Full(rep)));
                                     continue;
@@ -1343,7 +1264,6 @@ impl StreamingRpDbscan {
                                     core_points: cores.to_vec(),
                                     neighbors,
                                     densities,
-                                    stats: QueryStats::default(),
                                 }),
                             ));
                         }
@@ -1601,10 +1521,6 @@ impl StreamingRpDbscan {
         self.stats.live_points = self.n_live;
         self.stats.num_cells = self.cells.len();
         self.stats.num_clusters = self.num_clusters;
-        let plan_stats = self.plan_cache.stats();
-        self.stats.plans_built = plan_stats.built;
-        self.stats.plan_hits = plan_stats.hits;
-        self.stats.plans_invalidated = plan_stats.invalidated;
         Ok(())
     }
 
@@ -1717,5 +1633,123 @@ impl StreamingRpDbscan {
         }
         self.num_clusters = cluster_of_root.len();
         self.cluster_of_cell = cluster_of_cell;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Each cell's point slots and core slots, by coordinate.
+    fn cell_sets(s: &StreamingRpDbscan) -> Vec<(CellCoord, Vec<u32>, Vec<u32>)> {
+        let mut out: Vec<_> = s
+            .cells
+            .iter()
+            .map(|(c, st)| (c.clone(), st.points.clone(), st.core_points.clone()))
+            .collect();
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    /// Checks every live slot's cached density, and every cell's core set
+    /// and successor list, against the per-point region query on a fresh
+    /// index of the live points.
+    fn check_against_fresh_index(s: &StreamingRpDbscan, at: &str) {
+        let point = |p: u32| &s.coords[p as usize * s.dim..(p as usize + 1) * s.dim];
+        let live = (0..s.live.len() as u32).filter(|&p| s.live[p as usize]);
+        let dict = CellDictionary::build_from_points(s.spec.clone(), live.map(point));
+        let index = DictionaryIndex::single(dict);
+        assert_eq!(s.cells.len(), index.dict().num_cells(), "{at}");
+        let min_pts = s.params.min_pts as u64;
+        for (coord, points, core_points) in cell_sets(s) {
+            let own = index.dict().index_of(&coord);
+            assert!(own.is_some(), "{at}: cell {coord} is not occupied");
+            let (mut cores, mut successors) = (Vec::new(), Vec::new());
+            for &p in &points {
+                let r = index.region_query_cells(point(p));
+                assert_eq!(s.density[p as usize], r.density, "{at}: slot {p}");
+                if r.density >= min_pts {
+                    cores.push(p);
+                    successors.extend(
+                        r.neighbor_cells
+                            .iter()
+                            .filter(|&&c| Some(c) != own)
+                            .map(|&c| index.dict().entry(c).coord.clone()),
+                    );
+                }
+            }
+            successors.sort_unstable();
+            successors.dedup();
+            let state = &s.cells[&coord];
+            assert_eq!(core_points, cores, "{at}: cell {coord} core set");
+            assert_eq!(state.is_core, !cores.is_empty(), "{at}: cell {coord}");
+            assert_eq!(state.neighbors, successors, "{at}: cell {coord} successors");
+        }
+    }
+
+    /// Replays a seeded interleaving of insert and remove batches of
+    /// points uniform in `[0, extent)^dim`, checking the repair state
+    /// after every epoch. Returns how often an unchanged cell's core set
+    /// moved (the delta path's threshold crossing) and how often a
+    /// surviving point of a changed cell was promoted to core.
+    fn replay(dim: usize, extent: f64, min_pts: usize, seed: u64) -> (usize, usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut s = StreamingRpDbscan::new(dim, RpDbscanParams::new(1.0, min_pts)).unwrap();
+        let mut live: Vec<StreamPointId> = Vec::new();
+        let (mut crossed, mut promoted) = (0, 0);
+        for epoch in 0..40 {
+            let before = cell_sets(&s);
+            if live.is_empty() || rng.gen_range(0..10) < 6 {
+                // A large first batch fills the dense shape at once.
+                let k = if epoch == 0 {
+                    80
+                } else {
+                    rng.gen_range(1..=60)
+                };
+                let flat: Vec<f64> = (0..k * dim).map(|_| rng.gen_range(0.0..extent)).collect();
+                live.extend(s.insert_batch(&flat).unwrap());
+            } else {
+                let k = rng.gen_range(1..=live.len().min(40));
+                let doomed: Vec<StreamPointId> = (0..k)
+                    .map(|_| live.swap_remove(rng.gen_range(0..live.len())))
+                    .collect();
+                s.remove_batch(&doomed).unwrap();
+            }
+            check_against_fresh_index(&s, &format!("dim {dim} seed {seed} epoch {epoch}"));
+            for (coord, points, cores) in cell_sets(&s) {
+                let Ok(i) = before.binary_search_by(|b| b.0.cmp(&coord)) else {
+                    continue;
+                };
+                let (_, old_points, old_cores) = &before[i];
+                if *old_points == points {
+                    crossed += usize::from(*old_cores != cores);
+                } else {
+                    promoted += cores
+                        .iter()
+                        .filter(|p| old_points.contains(p) && !old_cores.contains(p))
+                        .count();
+                }
+            }
+        }
+        (crossed, promoted)
+    }
+
+    #[test]
+    fn repair_matches_per_point_queries_after_every_epoch() {
+        // Dense: 9 cells of side 1/√2 over [0, 2)², averaging 13 or more
+        // points a cell after 90% of the epochs. Sparse: 3-d, about one
+        // point per occupied cell.
+        for (dim, extent, min_pts) in [(2, 2.0, 60), (3, 5.0, 4)] {
+            let (mut crossed, mut promoted) = (0, 0);
+            for seed in 0..4 {
+                let (c, p) = replay(dim, extent, min_pts, seed);
+                crossed += c;
+                promoted += p;
+            }
+            assert!(crossed > 0, "dim {dim}: no threshold crossing");
+            assert!(promoted > 0, "dim {dim}: no promoted core");
+        }
     }
 }

@@ -209,58 +209,28 @@ fn invalid_batches_are_rejected() {
     ));
 }
 
-/// Query-plan lifecycle across epochs: a dense cell's plan is built when
-/// the cell first runs full region queries, dropped (counted as
-/// invalidated) when a later batch dirties the cell, and rebuilt against
-/// the new dictionary on next use. Sparse cells never plan at all — the
-/// cost model routes them to the kd path.
+/// A dense clump (12 points in one cell, side 1/√2 ≈ 0.707) and a sparse
+/// run (5 points), each followed by a second batch landing in the same
+/// cell: both streams equal a batch run over their points after every
+/// batch.
 #[test]
-fn dirtied_cell_plan_is_invalidated_and_rebuilt() {
+fn dense_clump_and_sparse_streams_match_batch() {
     let params = RpDbscanParams::new(1.0, 3);
-    let mut s = StreamingRpDbscan::new(2, params).unwrap();
-    // Batch 1: a tight 12-point clump inside one cell (side = 1/√2 ≈
-    // 0.707) — occupancy clears the cost model's break-even floor, so
-    // the repair epoch plans the cell.
-    let b1: Vec<f64> = (0..12).flat_map(|i| [i as f64 * 0.05, 0.0]).collect();
-    s.insert_batch(&b1).unwrap();
-    let after1 = s.snapshot().stats;
-    assert!(
-        after1.plans_built >= 1,
-        "dense first batch must plan its cell"
-    );
-    assert!(after1.cells_routed_planned >= 1);
-    assert!(
-        after1.route_min_occupancy >= 8,
-        "break-even floor missing from stats"
-    );
-    assert_eq!(after1.plans_invalidated, 0);
-    // Batch 2 dirties the same cell: the epoch-1 plan embeds stale
-    // dictionary indices, so it must be invalidated and a fresh plan
-    // built for the new epoch.
-    s.insert_batch(&[0.02, 0.01]).unwrap();
-    let after2 = s.snapshot().stats;
-    assert!(after2.plans_invalidated >= 1, "dirtied cell keeps its plan");
-    assert!(after2.plans_built > after1.plans_built, "plan not rebuilt");
-    // A sparse stream (occupancy below break-even) never builds a plan —
-    // the cost model routes its cells to the kd path structurally — and
-    // the clustering is identical to a dense-equivalent batch run.
-    let mut sparse = StreamingRpDbscan::new(2, params).unwrap();
-    let b_sparse: Vec<f64> = (0..5).flat_map(|i| [i as f64 * 0.05, 0.0]).collect();
-    sparse.insert_batch(&b_sparse).unwrap();
-    sparse.insert_batch(&[0.02, 0.01]).unwrap();
-    let stats = sparse.snapshot().stats;
-    assert_eq!(stats.plans_built, 0, "sparse cells must route kd");
-    assert_eq!(stats.cells_routed_planned, 0);
-    assert!(stats.cells_routed_kd >= 1);
-    assert_eq!(stats.plans_invalidated, 0);
-    let batch = RpDbscan::new(params)
-        .unwrap()
-        .run_local(&sparse.dataset())
-        .unwrap();
-    let ri = rand_index(
-        &sparse.snapshot().labels,
-        &batch.clustering,
-        NoisePolicy::SingleCluster,
-    );
-    assert_eq!(ri, 1.0, "kd-routed stream diverged from batch");
+    for n in [12, 5] {
+        let mut s = StreamingRpDbscan::new(2, params).unwrap();
+        let first: Vec<f64> = (0..n).flat_map(|i| [i as f64 * 0.05, 0.0]).collect();
+        for batch in [first, vec![0.02, 0.01]] {
+            s.insert_batch(&batch).unwrap();
+            let want = RpDbscan::new(params)
+                .unwrap()
+                .run_local(&s.dataset())
+                .unwrap();
+            let ri = rand_index(
+                &s.snapshot().labels,
+                &want.clustering,
+                NoisePolicy::SingleCluster,
+            );
+            assert_eq!(ri, 1.0, "{n}-point stream diverged from batch");
+        }
+    }
 }
