@@ -9,15 +9,13 @@ use crate::export::CellGraph;
 use crate::label::{assemble_clustering, label_partition, LabelSupport};
 use crate::merge::{tournament, Run};
 use crate::params::RpDbscanParams;
-use crate::partition::{pseudo_random_deal, CellPoints};
+use crate::partition::{group_by_cell_staged, pseudo_random_deal};
 use crate::phase2::{build_local_clustering, QueryRouting};
 use crate::source::{CellSource, Scratch};
 use crate::{task_err, CoreError};
 use rpdbscan_engine::Engine;
 use rpdbscan_geom::{Dataset, PointId};
-use rpdbscan_grid::{
-    CellCoord, CellDictionary, CellEntry, DictionaryIndex, FxHashMap, GridSpec, QueryStats,
-};
+use rpdbscan_grid::{CellDictionary, CellEntry, DictionaryIndex, FxHashMap, GridSpec, QueryStats};
 use rpdbscan_metrics::Clustering;
 use rpdbscan_store::SpillDir;
 
@@ -169,13 +167,9 @@ impl RpDbscan {
         let spec = GridSpec::new(data.dim(), p.eps, p.rho)?;
 
         // ---- Phase I-1: pseudo random partitioning -------------------
-        // Parallel cell grouping over point ranges; the pipeline then
-        // deals the grouped cells to partitions.
-        let chunks = point_ranges(data.len(), p.num_partitions);
-        let grouped = engine.run_stage("phase1-1:group-by-cell", chunks, |_ctx, (lo, hi)| {
-            Ok(group_range_by_cell(&spec, data, lo, hi))
-        })?;
-        let cells = merge_cell_groups(grouped.outputs);
+        // Parallel cell grouping (a sample sort over point ranges); the
+        // pipeline then deals the grouped cells to partitions.
+        let cells = group_by_cell_staged(engine, &spec, data, p.num_partitions)?;
         self.pipeline(
             spec,
             CellSource::Resident {
@@ -362,47 +356,13 @@ pub fn validate_backend_config(kind: &crate::DensityBackendKind) -> Result<(), C
 }
 
 /// Splits `0..n` into `k` near-equal ranges (last may be short).
-fn point_ranges(n: usize, k: usize) -> Vec<(usize, usize)> {
+pub(crate) fn point_ranges(n: usize, k: usize) -> Vec<(usize, usize)> {
     let k = k.max(1);
     let step = n.div_ceil(k).max(1);
     (0..n)
         .step_by(step)
         .map(|lo| (lo, (lo + step).min(n)))
         .collect()
-}
-
-/// Groups one range of points by cell (the Map of Algorithm 2).
-fn group_range_by_cell(
-    spec: &GridSpec,
-    data: &Dataset,
-    lo: usize,
-    hi: usize,
-) -> FxHashMap<CellCoord, Vec<PointId>> {
-    let mut out: FxHashMap<CellCoord, Vec<PointId>> = FxHashMap::default();
-    for i in lo..hi {
-        let id = PointId(i as u32);
-        out.entry(spec.cell_of(data.point(id)))
-            .or_default()
-            .push(id);
-    }
-    out
-}
-
-/// Combines per-range groupings into the global cell list (the Reduce of
-/// Algorithm 2), ordered deterministically.
-fn merge_cell_groups(groups: Vec<FxHashMap<CellCoord, Vec<PointId>>>) -> Vec<CellPoints> {
-    let mut merged: FxHashMap<CellCoord, Vec<PointId>> = FxHashMap::default();
-    for g in groups {
-        for (coord, pts) in g {
-            merged.entry(coord).or_default().extend(pts);
-        }
-    }
-    let mut cells: Vec<CellPoints> = merged
-        .into_iter()
-        .map(|(coord, points)| CellPoints { coord, points })
-        .collect();
-    cells.sort_unstable_by(|a, b| a.coord.cmp(&b.coord));
-    cells
 }
 
 #[cfg(test)]

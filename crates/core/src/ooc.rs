@@ -13,11 +13,12 @@
 //! The output is bit-identical to the resident pipeline on the same
 //! parameters, by construction rather than by accident:
 //!
-//! * the store's row order (cell coordinate, then original id) equals
-//!   the resident pipeline's `merge_cell_groups` order, so both sources
-//!   list the same cells, ids and (bit-exact, round-tripped through the
-//!   file) coordinates in the same order, and the seeded deal hands the
-//!   same cells to the same partitions;
+//! * the store's row order (cell coordinate, then original id) and the
+//!   resident pipeline's directory both come from the one cell sort
+//!   ([`rpdbscan_grid::CellRuns`]), so both sources list the same cells,
+//!   ids and (bit-exact, round-tripped through the file) coordinates in
+//!   the same order, and the seeded deal hands the same cells to the
+//!   same partitions;
 //! * everything after the deal is one code path; only the gathers and
 //!   where a tournament match's output is kept differ.
 //!

@@ -7,37 +7,70 @@
 //! exactly one partition, so no point is ever duplicated: the total number
 //! of points processed equals `N` exactly (Figure 14's RP-DBSCAN series).
 
+use crate::driver::point_ranges;
+use crate::CoreError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use rpdbscan_engine::Engine;
 use rpdbscan_geom::{Dataset, PointId};
-use rpdbscan_grid::{CellCoord, FxHashMap, GridSpec};
+use rpdbscan_grid::{CellCoord, CellRuns, GridSpec};
 
 /// The points of one cell, kept together through partitioning.
 #[derive(Debug, Clone)]
 pub struct CellPoints {
     /// The cell's lattice coordinate.
     pub coord: CellCoord,
-    /// Ids of the points inside the cell.
+    /// Ids of the points inside the cell, ascending.
     pub points: Vec<PointId>,
 }
 
-/// Groups the data set's points by cell.
+/// Groups the data set's points by cell, cells in coordinate order: one
+/// [`CellRuns::sort`] of every point, on the calling thread.
 ///
 /// This is Algorithm 2's first Map/Reduce pair (`emit(cid, p)` then
-/// aggregation by cell id); here it is a single hash-grouping pass.
+/// aggregation by cell id); [`group_by_cell_staged`] runs the same pair
+/// on the engine.
 pub fn group_by_cell(spec: &GridSpec, data: &Dataset) -> Vec<CellPoints> {
-    let mut by_cell: FxHashMap<CellCoord, Vec<PointId>> = FxHashMap::default();
-    for (id, p) in data.iter() {
-        by_cell.entry(spec.cell_of(p)).or_default().push(id);
-    }
-    let mut cells: Vec<CellPoints> = by_cell
-        .into_iter()
-        .map(|(coord, points)| CellPoints { coord, points })
-        .collect();
-    // Deterministic order before the seeded shuffle.
-    cells.sort_unstable_by(|a, b| a.coord.cmp(&b.coord));
-    cells
+    cell_points(&CellRuns::sort(spec, data.flat(), 0), PointId)
+}
+
+/// [`group_by_cell`] as two engine stages, a sample sort. The Map sorts
+/// each of `k` point ranges by cell (`phase1-1:sort-by-cell`); the
+/// splitters cut the sorted runs' cells into key ranges; the Reduce
+/// merges each key range of every run (`phase1-1:merge-by-cell`). The
+/// merged buckets, concatenated, equal [`group_by_cell`]'s output.
+pub fn group_by_cell_staged(
+    engine: &Engine,
+    spec: &GridSpec,
+    data: &Dataset,
+    k: usize,
+) -> Result<Vec<CellPoints>, CoreError> {
+    let dim = spec.dim();
+    let flat = data.flat();
+    let ranges = point_ranges(data.len(), k);
+    let sorted = engine.run_stage("phase1-1:sort-by-cell", ranges, |_ctx, (lo, hi)| {
+        Ok(CellRuns::sort(spec, &flat[lo * dim..hi * dim], lo as u32))
+    })?;
+    let runs = sorted.outputs;
+    let splitters = CellRuns::splitters(&runs, k);
+    let buckets: Vec<usize> = (0..=splitters.len() / dim).collect();
+    let merged = engine.run_stage("phase1-1:merge-by-cell", buckets, |_ctx, bucket| {
+        let bucket = CellRuns::merge(dim, &runs, &splitters, bucket);
+        Ok(cell_points(&bucket, PointId))
+    })?;
+    Ok(merged.outputs.concat())
+}
+
+/// One [`CellPoints`] per cell of `runs`, in directory order, each id
+/// `i` becoming `id(i)`.
+fn cell_points(runs: &CellRuns, id: impl Fn(u32) -> PointId) -> Vec<CellPoints> {
+    (0..runs.len())
+        .map(|ci| CellPoints {
+            coord: runs.coord(ci),
+            points: runs.ids(ci).iter().map(|&i| id(i)).collect(),
+        })
+        .collect()
 }
 
 /// Distributes items over `k` partitions uniformly at random
@@ -79,24 +112,22 @@ pub fn true_random_partition(
     let mut ids: Vec<PointId> = data.ids().collect();
     let mut rng = StdRng::seed_from_u64(seed);
     ids.shuffle(&mut rng);
-    let mut parts = Vec::with_capacity(k);
-    for pid in 0..k {
-        let slice: Vec<PointId> = ids[pid..].iter().step_by(k).copied().collect();
-        let mut by_cell: FxHashMap<CellCoord, Vec<PointId>> = FxHashMap::default();
-        for id in slice {
-            by_cell
-                .entry(spec.cell_of(data.point(id)))
-                .or_default()
-                .push(id);
-        }
-        let mut cells: Vec<CellPoints> = by_cell
-            .into_iter()
-            .map(|(coord, points)| CellPoints { coord, points })
-            .collect();
-        cells.sort_unstable_by(|a, b| a.coord.cmp(&b.coord));
-        parts.push(cells);
-    }
-    parts
+    let mut coords = Vec::new();
+    (0..k)
+        .map(|pid| {
+            // The partition's ids ascending, so its local ids (gather
+            // order) map to ascending global ones.
+            let mut slice: Vec<PointId> = ids.iter().skip(pid).step_by(k).copied().collect();
+            slice.sort_unstable();
+            coords.clear();
+            for &id in &slice {
+                coords.extend_from_slice(data.point(id));
+            }
+            cell_points(&CellRuns::sort(spec, &coords, 0), |local| {
+                slice[local as usize]
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -211,6 +242,26 @@ mod tests {
         // Point-level balance is near-exact by construction.
         for p in &parts {
             assert!((num_points(p) as i64 - 120).abs() <= 1);
+        }
+    }
+
+    /// The staged sample sort lists the same cells and ids as one sort,
+    /// from empty input to more ranges than points.
+    #[test]
+    fn staged_grouping_equals_one_sort() {
+        let engine = Engine::new(3);
+        for (n, k) in [(0, 4), (1, 4), (3, 8), (500, 1), (500, 6), (1000, 16)] {
+            let d = data(n, 9 + n as u64);
+            let staged = group_by_cell_staged(&engine, &spec(), &d, k).unwrap();
+            let once = group_by_cell(&spec(), &d);
+            assert_eq!(staged.len(), once.len(), "n {n} k {k}");
+            for (a, b) in staged.iter().zip(&once) {
+                assert_eq!((&a.coord, &a.points), (&b.coord, &b.points), "n {n} k {k}");
+            }
+        }
+        let rep = engine.report();
+        for stage in ["phase1-1:sort-by-cell", "phase1-1:merge-by-cell"] {
+            assert!(rep.stages.iter().any(|s| s.name == stage), "{stage}");
         }
     }
 }

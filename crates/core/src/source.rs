@@ -5,7 +5,8 @@
 //! Phase III-2) over a [`CellSource`]. A source lists the run's occupied
 //! cells in coordinate order and addresses them by *directory index*,
 //! their position in that list. The store's row order (cell coordinate,
-//! then original id) is the order Phase I-1's grouping produces, so the
+//! then original id) is the order Phase I-1's grouping produces (both
+//! are the grid's one cell sort), so the
 //! two variants list the same cells, ids and bit-exact coordinates in
 //! the same order for the same points. That is what makes an
 //! out-of-core run bit-identical to a resident one.

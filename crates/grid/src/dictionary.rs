@@ -16,8 +16,10 @@
 //!   execution engine charges as broadcast cost.
 
 use crate::cell::{CellCoord, SubCellIdx};
+use crate::cellsort::CellRuns;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::spec::GridSpec;
+use std::cmp::Ordering;
 
 /// One leaf entry: a sub-cell's packed local position and its density.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +42,8 @@ pub struct CellEntry {
 }
 
 impl CellEntry {
-    /// Summarises the points of one cell into a root+leaf entry.
+    /// Summarises the points of one cell into a root+leaf entry: the
+    /// points' packed sub-cell indices, sorted and run-length counted.
     ///
     /// Callers guarantee every point actually falls in `coord`'s cell;
     /// boundary points are clamped into it by the sub-index computation.
@@ -49,18 +52,28 @@ impl CellEntry {
         coord: CellCoord,
         points: impl IntoIterator<Item = &'a [f64]>,
     ) -> Self {
-        let mut counts: FxHashMap<SubCellIdx, u32> = FxHashMap::default();
-        let mut total = 0u32;
-        for p in points {
-            debug_assert_eq!(spec.cell_of(p), coord, "point outside its cell");
-            *counts.entry(spec.sub_index_of(&coord, p)).or_insert(0) += 1;
-            total += 1;
-        }
-        let mut subs: Vec<SubCellEntry> = counts
+        // One entry per point, then sorted and folded in place: the
+        // histogram allocates nothing beyond its own list.
+        let mut subs: Vec<SubCellEntry> = points
             .into_iter()
-            .map(|(idx, count)| SubCellEntry { idx, count })
+            .map(|p| {
+                debug_assert_eq!(spec.cell_of(p), coord, "point outside its cell");
+                SubCellEntry {
+                    idx: spec.sub_index_of(&coord, p),
+                    count: 1,
+                }
+            })
             .collect();
+        let total = subs.len() as u32;
         subs.sort_unstable_by_key(|s| s.idx);
+        subs.dedup_by(|later, kept| {
+            let same = later.idx == kept.idx;
+            if same {
+                kept.count += later.count;
+            }
+            same
+        });
+        subs.shrink_to_fit();
         Self {
             coord,
             count: total,
@@ -69,20 +82,36 @@ impl CellEntry {
     }
 
     /// Merges another entry for the same cell (used when the same cell is
-    /// summarised by several point batches).
+    /// summarised by several point batches): the two sorted sub-cell
+    /// lists are merged, equal indices adding their counts.
     pub fn merge(&mut self, other: CellEntry) {
         debug_assert_eq!(self.coord, other.coord);
         self.count += other.count;
-        let mut map: FxHashMap<SubCellIdx, u32> =
-            self.subs.drain(..).map(|s| (s.idx, s.count)).collect();
-        for s in other.subs {
-            *map.entry(s.idx).or_insert(0) += s.count;
+        let (x, y) = (&self.subs, &other.subs);
+        let mut subs = Vec::with_capacity(x.len() + y.len());
+        let (mut i, mut j) = (0, 0);
+        while i < x.len() && j < y.len() {
+            match x[i].idx.cmp(&y[j].idx) {
+                Ordering::Less => {
+                    subs.push(x[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    subs.push(y[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    subs.push(SubCellEntry {
+                        idx: x[i].idx,
+                        count: x[i].count + y[j].count,
+                    });
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
-        let mut subs: Vec<SubCellEntry> = map
-            .into_iter()
-            .map(|(idx, count)| SubCellEntry { idx, count })
-            .collect();
-        subs.sort_unstable_by_key(|s| s.idx);
+        subs.extend_from_slice(&x[i..]);
+        subs.extend_from_slice(&y[j..]);
         self.subs = subs;
     }
 }
@@ -133,23 +162,29 @@ impl CellDictionary {
     }
 
     /// Builds a dictionary directly from a point stream (convenience for
-    /// tests and the single-machine baselines).
+    /// tests and the single-machine baselines): the points are copied
+    /// into one buffer and cell-sorted ([`CellRuns::sort`]), and each
+    /// cell becomes an entry, in coordinate order.
     pub fn build_from_points<'a>(
         spec: GridSpec,
         points: impl IntoIterator<Item = &'a [f64]>,
     ) -> Self {
-        let mut by_cell: FxHashMap<CellCoord, Vec<&'a [f64]>> = FxHashMap::default();
+        let dim = spec.dim();
+        let mut coords = Vec::new();
         for p in points {
-            by_cell.entry(spec.cell_of(p)).or_default().push(p);
+            debug_assert_eq!(p.len(), dim, "point dimension mismatch");
+            coords.extend_from_slice(p);
         }
-        // from_entries assigns dictionary indices in entry order, so sort
-        // by coordinate: hash-map iteration order must not decide index
-        // assignment.
-        let mut entries: Vec<CellEntry> = by_cell
-            .into_iter()
-            .map(|(coord, pts)| CellEntry::from_points(&spec, coord, pts))
+        let runs = CellRuns::sort(&spec, &coords, 0);
+        let entries: Vec<CellEntry> = (0..runs.len())
+            .map(|ci| {
+                let rows = runs
+                    .ids(ci)
+                    .iter()
+                    .map(|&i| &coords[i as usize * dim..(i as usize + 1) * dim]);
+                CellEntry::from_points(&spec, runs.coord(ci), rows)
+            })
             .collect();
-        entries.sort_unstable_by(|a, b| a.coord.cmp(&b.coord));
         Self::from_entries(spec, entries)
     }
 

@@ -11,10 +11,14 @@
 //! * [`DictionaryIndex`] — sub-dictionaries produced by BSP
 //!   defragmentation (§4.2.2), each carrying an MBR (Definition 5.9) for
 //!   the skipping rule of Lemma 5.10 and a kd-tree over cell centres so an
-//!   `(ε,ρ)`-region query costs `O(log |cell|)` (Lemma 5.6);
+//!   `(ε,ρ)`-region query costs `O(log |cell|)` (Lemma 5.6), built on
+//!   first use;
 //! * [`DictionaryIndex::region_query_cells`] — the `(ε,ρ)`-region query
 //!   itself (Definition 5.1), read from the index's flat cell layout,
 //!   which keeps cells in coordinate order with a column directory;
+//! * [`CellRuns`] — the cell sort: points grouped by cell in coordinate
+//!   order, the one kernel behind Phase I-1, the dictionary's point
+//!   build and the column store's ingest;
 //! * [`CellWindow`] — the per-cell answer of Phase II and stream repair:
 //!   the gathered ε-window with early-exit core marking, exact full-window
 //!   densities and per-cell successors;
@@ -29,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod cell;
+pub mod cellsort;
 pub mod dictionary;
 pub mod fxhash;
 pub mod plan;
@@ -38,6 +43,7 @@ pub mod subdict;
 pub mod window;
 
 pub use cell::{for_each_in_box, CellCoord, SubCellIdx};
+pub use cellsort::CellRuns;
 pub use dictionary::{CellDictionary, CellEntry, DecodeError, SubCellEntry};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use plan::{CellQueryPlan, PlanCandidate, PLAN_SLACK};

@@ -2,18 +2,15 @@
 //! query point's density and neighbour cells against a published index.
 //!
 //! All points of one cell run nearly the same `(ε,ρ)`-region query: the
-//! sub-dictionary scan, the kd-tree candidate search, and most of the
-//! distance decisions depend only on the *cell*, not on the individual
-//! point. A [`CellQueryPlan`] hoists that shared work out of the
-//! per-point loop:
+//! candidate search and most of the distance decisions depend only on
+//! the *cell*, not on the individual point. A [`CellQueryPlan`] hoists
+//! that shared work out of the per-point loop:
 //!
-//! 1. **Candidate gather once per cell.** [`CellQueryPlan::build`] takes
-//!    the query cell's ε-window ([`DictionaryIndex::window_into`]): every
-//!    cell whose box may lie within ε of the query box, a superset of
-//!    every per-point search's reach. This gather is `build`'s alone: the
-//!    steps below live in [`CellQueryPlan::from_candidates`], which takes
-//!    any candidate list meeting the candidate contract of DESIGN §9
-//!    (serving's classify feeds it the cell's lattice window).
+//! 1. **Candidates once per cell.** [`CellQueryPlan::from_candidates`]
+//!    takes any candidate list meeting the candidate contract of DESIGN
+//!    §9: every cell whose box may lie within ε of the query box, a
+//!    superset of every per-point search's reach. Serving's classify
+//!    feeds it the cell's lattice window.
 //! 2. **Cell- and sub-cell-level classification.** Each candidate cell is
 //!    classified by the box-to-box bounds of
 //!    [`crate::GridSpec::cell_box_dist2_bounds`]: *never* (min² > ε²
@@ -30,16 +27,13 @@
 //! 3. **SoA centre layout.** The remaining *tested* sub-cell centres are
 //!    copied into one flat `Vec<f64>` with parallel `counts`/prefix
 //!    arrays, so the per-point inner loop is a branch-light linear scan
-//!    over the plan's own cells only. In a plan from
-//!    [`CellQueryPlan::build`] the centres, counts and box origins come from the [`DictionaryIndex`]'s flat layout, the one
-//!    place sub-cell centres are decoded; a build never touches a
-//!    `CellEntry`.
+//!    over the plan's own cells only.
 //!
 //! Classification uses a conservative relative slack ([`PLAN_SLACK`]):
 //! near the ε boundary a sub-cell stays in the tested set, where
 //! [`CellQueryPlan::query_into`] (and [`CellQueryPlan::density`], the
 //! same per-point walk without the neighbour list) replicates the unplanned
-//! [`DictionaryIndex::region_query_cells_into`] arithmetic bit for bit
+//! [`crate::DictionaryIndex::region_query_cells_into`] arithmetic bit for bit
 //! (same box origins, same bound formulas, same centre coordinates, same
 //! distance kernel).
 //! Misclassification towards *tested* therefore costs a few extra
@@ -51,8 +45,6 @@
 
 use crate::query::{box_dist2_bounds, QueryStats, RegionQueryResult};
 use crate::spec::{box_box_dist2_bounds, GridSpec};
-use crate::subdict::DictionaryIndex;
-use crate::window::CellWindow;
 use rpdbscan_geom::kernel;
 
 /// Relative slack applied to ε² before a sub-cell may be classified
@@ -86,24 +78,21 @@ pub struct PlanCandidate<'a> {
 /// A memoized `(ε,ρ)`-region query plan for one cell.
 ///
 /// Serving's classify builds one per cell with
-/// [`CellQueryPlan::from_candidates`] and caches it;
-/// [`CellQueryPlan::build`] plans from a [`DictionaryIndex`]'s ε-window,
-/// the form the equivalence tests pin. Every point of the cell is then
-/// answered through [`CellQueryPlan::query_into`] (or
-/// [`CellQueryPlan::density`]). Results are
-/// identical to [`DictionaryIndex::region_query_cells`] (density,
+/// [`CellQueryPlan::from_candidates`] and caches it. Every point of the
+/// cell is then answered through [`CellQueryPlan::query_into`] (or
+/// [`CellQueryPlan::density`]). Results are identical to
+/// [`crate::DictionaryIndex::region_query_cells`] (density,
 /// neighbour-cell set, and the `cells_full`/`cells_partial`/
 /// `subcells_reported` counters); only the candidate counter differs,
-/// because the gather is amortised into [`CellQueryPlan::build_stats`]
-/// (`cells_candidate` counts the window; a plan build visits no
+/// because the candidate search is done once for the plan
+/// (`cells_candidate` counts the planned cells; a plan visits no
 /// sub-dictionary).
 #[derive(Debug, Clone)]
 pub struct CellQueryPlan {
     dim: usize,
     eps2: f64,
     side: f64,
-    /// Planned cells: candidate id per cell (a dictionary index for a
-    /// plan from [`Self::build`]).
+    /// Planned cells: candidate id per cell.
     cell_idx: Vec<u32>,
     /// Planned cells: box origin per cell, `dim` values each, computed
     /// exactly as `cell_dist2_bounds` does (`coord · side`).
@@ -122,41 +111,12 @@ pub struct CellQueryPlan {
     centers: Vec<f64>,
     /// Tested sub-cell densities, parallel to `centers`.
     counts: Vec<u32>,
-    /// One-off build cost: `plans_built = 1` and, for a plan from
-    /// [`Self::build`], the window's size as `cells_candidate`. Merge
-    /// once per plan, not once per point.
+    /// One-off build cost: `plans_built = 1`. Merge once per plan, not
+    /// once per point.
     build_stats: QueryStats,
 }
 
 impl CellQueryPlan {
-    /// Plans the region query for the cell at dictionary index `idx`:
-    /// gathers its ε-window ([`DictionaryIndex::window_into`]), then
-    /// classifies it, in ascending dictionary order, through
-    /// [`Self::from_candidates`].
-    pub fn build(index: &DictionaryIndex, idx: u32) -> Self {
-        let layout = index.layout();
-        let mut window = CellWindow::default();
-        // Dictionary order, so the plan layout and the order of reported
-        // neighbour cells do not depend on how the index stores cells.
-        let cells = window.gather_by_id(index, idx);
-        let mut plan = Self::from_candidates(
-            index.spec(),
-            layout.origin(layout.pos_of(idx)),
-            cells.iter().map(|&p| {
-                let (centers, counts) = layout.subs(p);
-                PlanCandidate {
-                    id: layout.id(p),
-                    origin: layout.origin(p),
-                    centers,
-                    counts,
-                    total: layout.total(p),
-                }
-            }),
-        );
-        plan.build_stats.cells_candidate = cells.len() as u32;
-        plan
-    }
-
     /// Plans the region query for the cell whose box starts at `origin`
     /// from an explicit candidate list — the one never/always/tested
     /// classifier. `candidates` must meet the candidate contract
@@ -319,7 +279,7 @@ impl CellQueryPlan {
 
     /// Answers the region query for `p` (a point of the planned cell),
     /// clearing and refilling `result` exactly like
-    /// [`DictionaryIndex::region_query_cells_into`].
+    /// [`crate::DictionaryIndex::region_query_cells_into`].
     // lint:hot
     pub fn query_into(&self, p: &[f64], result: &mut RegionQueryResult) {
         result.neighbor_cells.clear();
@@ -373,9 +333,8 @@ impl CellQueryPlan {
         self.counts.len()
     }
 
-    /// One-off build counters (`plans_built = 1`, the gathered window
-    /// as `cells_candidate`). Merge once per plan so aggregate stats stay
-    /// meaningful.
+    /// One-off build counters (`plans_built = 1`). Merge once per plan
+    /// so aggregate stats stay meaningful.
     pub fn build_stats(&self) -> &QueryStats {
         &self.build_stats
     }
@@ -386,8 +345,32 @@ mod tests {
     use super::*;
     use crate::dictionary::CellDictionary;
     use crate::spec::GridSpec;
+    use crate::DictionaryIndex;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Plans cell `ci` of `idx` from a brute-force candidate list: every
+    /// dictionary cell [`GridSpec::in_eps_window`] accepts, ascending by
+    /// dictionary id, read from the index layout.
+    fn plan_for(idx: &DictionaryIndex, ci: u32) -> CellQueryPlan {
+        let (dict, layout) = (idx.dict(), idx.layout());
+        let spec = dict.spec();
+        let own = &dict.entry(ci).coord;
+        let candidates = (0..dict.num_cells() as u32)
+            .filter(|&c| spec.in_eps_window(own, &dict.entry(c).coord))
+            .map(|c| {
+                let p = layout.pos_of(c);
+                let (centers, counts) = layout.subs(p);
+                PlanCandidate {
+                    id: c,
+                    origin: layout.origin(p),
+                    centers,
+                    counts,
+                    total: layout.total(p),
+                }
+            });
+        CellQueryPlan::from_candidates(spec, layout.origin(layout.pos_of(ci)), candidates)
+    }
 
     fn random_dict(seed: u64, n: usize, dim: usize, eps: f64, rho: f64) -> CellDictionary {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -406,7 +389,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         let mut planned = RegionQueryResult::default();
         for ci in 0..idx.dict().num_cells() as u32 {
-            let plan = CellQueryPlan::build(&idx, ci);
+            let plan = plan_for(&idx, ci);
             let bb = spec.cell_aabb(&idx.dict().entry(ci).coord);
             for _ in 0..5 {
                 let p: Vec<f64> = (0..2)
@@ -447,7 +430,7 @@ mod tests {
         let dict = CellDictionary::build_from_points(spec, refs);
         let idx = DictionaryIndex::single(dict);
         for ci in 0..idx.dict().num_cells() as u32 {
-            let plan = CellQueryPlan::build(&idx, ci);
+            let plan = plan_for(&idx, ci);
             assert!(
                 plan.num_always_subcells() > 0,
                 "cell {ci}: no always-qualifying sub-cell in a dense blob"

@@ -146,7 +146,22 @@ impl GridSpec {
     /// Lattice coordinate of the cell containing `p`.
     pub fn cell_of(&self, p: &[f64]) -> CellCoord {
         debug_assert_eq!(p.len(), self.dim);
-        CellCoord::new(p.iter().map(|v| (v / self.side).floor() as i64))
+        CellCoord::new(p.iter().map(|&v| self.lattice_index(v)))
+    }
+
+    /// Appends the lattice coordinate of the cell containing `p` to
+    /// `out`, `dim` values: [`Self::cell_of`] without the boxed
+    /// coordinate, for the cell sort's flat rows.
+    #[inline]
+    pub fn lattice_into(&self, p: &[f64], out: &mut Vec<i64>) {
+        debug_assert_eq!(p.len(), self.dim);
+        out.extend(p.iter().map(|&v| self.lattice_index(v)));
+    }
+
+    /// The lattice index of coordinate value `v` along one axis.
+    #[inline]
+    fn lattice_index(&self, v: f64) -> i64 {
+        (v / self.side).floor() as i64
     }
 
     /// Minimum corner of a cell.

@@ -9,13 +9,14 @@
 //! Each sub-dictionary carries a minimum bounding rectangle (Definition
 //! 5.9) so region queries can skip irrelevant sub-dictionaries wholesale
 //! (Lemma 5.10), plus a kd-tree over its cell centres for the
-//! `O(log |cell|)` candidate search of Lemma 5.6.
+//! `O(log |cell|)` candidate search of Lemma 5.6. The fragments are
+//! built the first time a query needs them.
 //!
 //! Next to the fragments the index keeps `CellLayout`, a flat copy of
 //! the dictionary in coordinate order: lattice coordinates, cell box
 //! origins, cell densities and every sub-cell's centre and count, plus a
-//! column directory. Region queries, the ε-window gather and plan builds
-//! read candidates from it instead of chasing each [`CellEntry`]'s boxed
+//! column directory. Region queries and the ε-window gather read
+//! candidates from it instead of chasing each [`CellEntry`]'s boxed
 //! coordinate and sub-cell list and decoding the packed sub-cell index of
 //! every centre they test. Rows are *layout positions*; everything the
 //! index reports is a dictionary id, mapped through one permutation.
@@ -28,6 +29,7 @@ use crate::fxhash::FxHashMap;
 use crate::plan::PLAN_SLACK;
 use crate::spec::GridSpec;
 use rpdbscan_geom::{Aabb, KdTree};
+use std::sync::OnceLock;
 
 /// One defragmented fragment of the dictionary.
 #[derive(Debug, Clone)]
@@ -98,9 +100,8 @@ impl SubDictionary {
 }
 
 /// The dictionary in structure-of-arrays form, cells in coordinate
-/// order: what the query hot loops read (§5 region queries, the
-/// ε-window gather of [`DictionaryIndex::window_into`] and
-/// [`crate::plan::CellQueryPlan`] builds).
+/// order: what the query hot loops read (§5 region queries and the
+/// ε-window gather of [`DictionaryIndex::window_into`]).
 ///
 /// A cell's row is its *layout position*, the rank of its lattice
 /// coordinate; its dictionary id (deal order, which numbers clusters)
@@ -273,13 +274,20 @@ fn partition_point(mut a: u32, mut b: u32, pred: impl Fn(u32) -> bool) -> u32 {
     a
 }
 
-/// The queryable form of a broadcast dictionary: defragmented
-/// sub-dictionaries with MBRs and per-fragment kd-trees, plus the flat
-/// `CellLayout` the queries read.
+/// The queryable form of a broadcast dictionary: the flat `CellLayout`
+/// the queries read, plus defragmented sub-dictionaries with MBRs and
+/// per-fragment kd-trees.
+///
+/// The fragments are built on first use ([`Self::subdicts`]): by the
+/// per-point region query, the kd search of [`Self::window_into`] and
+/// the gather rule's sample. An index whose windows take the column walk
+/// (every 1- to 3-d one) never builds them.
 #[derive(Debug, Clone)]
 pub struct DictionaryIndex {
     dict: CellDictionary,
-    subdicts: Vec<SubDictionary>,
+    /// The fragments' root+leaf entry budget (at least 1).
+    cap: u64,
+    subdicts: OnceLock<Vec<SubDictionary>>,
     layout: CellLayout,
     /// The column walk's stencil, or `None` when [`Self::window_into`]
     /// runs the kd search instead.
@@ -341,30 +349,41 @@ impl DictionaryIndex {
         // sit inside the non-empty branch only).
         let cap = max_entries_per_subdict.max(1);
         let spec = dict.spec().clone();
-        let n = dict.num_cells();
         let layout = CellLayout::build(&dict);
-        let mut subdicts = Vec::new();
-        if n > 0 {
-            let mut items: Vec<u32> = (0..n as u32).collect();
-            let mut out: Vec<Vec<u32>> = Vec::new();
-            bsp_split(&spec, &dict, &mut items, cap, &mut out);
-            subdicts = out
-                .into_iter()
-                .map(|ids| SubDictionary::build(&spec, &dict, &layout, ids))
-                .collect();
-        }
         let window_columns = (2 * spec.window_reach() + 1).checked_pow(spec.dim() as u32 - 1);
         let stencil = window_columns
             .is_some_and(|w| w as usize <= layout.columns.len())
             .then(|| ColumnStencil::new(&spec));
         let mut index = Self {
             dict,
-            subdicts,
+            cap,
+            subdicts: OnceLock::new(),
             layout,
             stencil: None,
         };
         index.stencil = stencil.filter(|s| index.column_walk_pays(s));
         index
+    }
+
+    /// BSP defragmentation and the per-fragment MBRs and kd-trees.
+    fn build_subdicts(&self) -> Vec<SubDictionary> {
+        let (spec, dict) = (self.spec(), &self.dict);
+        let n = dict.num_cells();
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut items: Vec<u32> = (0..n as u32).collect();
+        let mut out: Vec<Vec<u32>> = Vec::new();
+        bsp_split(spec, dict, &mut items, self.cap, &mut out);
+        out.into_iter()
+            .map(|ids| SubDictionary::build(spec, dict, &self.layout, ids))
+            .collect()
+    }
+
+    /// Whether the fragments have been built.
+    #[cfg(test)]
+    pub(crate) fn subdicts_built(&self) -> bool {
+        self.subdicts.get().is_some()
     }
 
     /// Ablation helper: a single un-defragmented sub-dictionary covering
@@ -391,15 +410,15 @@ impl DictionaryIndex {
         self.dict.spec()
     }
 
-    /// The sub-dictionaries.
+    /// The sub-dictionaries, built on the first call.
     #[inline]
     pub fn subdicts(&self) -> &[SubDictionary] {
-        &self.subdicts
+        self.subdicts.get_or_init(|| self.build_subdicts())
     }
 
-    /// Number of fragments.
+    /// Number of fragments (builds them).
     pub fn num_subdicts(&self) -> usize {
-        self.subdicts.len()
+        self.subdicts().len()
     }
 
     /// The flat query layout.
@@ -428,8 +447,8 @@ impl DictionaryIndex {
     /// and binary-searches it for the run of last coordinates within the
     /// column's reach, so no cell is tested. The *kd search* searches the
     /// fragment kd-trees from the cell's box, with the box-level Lemma
-    /// 5.10 skip and radius `ε + diag` of [`crate::CellQueryPlan`]'s
-    /// superset search, and filters the hits by the window test.
+    /// 5.10 skip and radius `ε + diag`, and filters the hits by the
+    /// window test.
     ///
     /// The column walk costs one directory probe per stencil column
     /// whatever the data (25 columns in 3-d, 179 in 4-d, 1,273 in 5-d,
@@ -501,7 +520,7 @@ impl DictionaryIndex {
         qhi.extend(qlo.iter().map(|v| v + side));
         let kd_radius = spec.eps() + spec.cell_diag();
         let mut hits = 0;
-        for sd in &self.subdicts {
+        for sd in self.subdicts() {
             // Box-level Lemma 5.10: qualifying sub-cell centres lie inside
             // the fragment MBR, so the fragment is irrelevant to every
             // point of the query box when the box-to-MBR distance exceeds
@@ -776,6 +795,35 @@ mod tests {
         let spec = GridSpec::new(4, 1.0, 0.5).unwrap();
         let empty = CellDictionary::build_from_points(spec, std::iter::empty());
         let _ = DictionaryIndex::single(empty).column_walks();
+    }
+
+    #[test]
+    fn fragments_are_built_on_first_use_only() {
+        let dict = uniform_dict(3, 600, 12.0, 1.5);
+        let (mut scratch, mut out) = (GatherScratch::default(), Vec::new());
+        for cap in [1, 8, u64::MAX] {
+            // 3-d windows take the column walk: no fragment is built.
+            let lazy = DictionaryIndex::new(dict.clone(), cap);
+            assert!(lazy.column_walks());
+            for pos in 0..dict.num_cells() as u32 {
+                lazy.window_into(pos, &mut scratch, &mut out);
+                assert!(!out.is_empty());
+            }
+            assert!(!lazy.subdicts_built(), "cap {cap}");
+            // A per-point query builds them, and answers as an index
+            // whose fragments were built before any query.
+            let eager = DictionaryIndex::new(dict.clone(), cap);
+            assert!(eager.num_subdicts() > 0 && eager.subdicts_built());
+            for cell in dict.cells() {
+                let p = dict.spec().cell_center(&cell.coord);
+                let (a, b) = (lazy.region_query_cells(&p), eager.region_query_cells(&p));
+                assert_eq!(a.density, b.density, "cap {cap}");
+                assert_eq!(a.neighbor_cells, b.neighbor_cells, "cap {cap}");
+                assert_eq!(a.stats, b.stats, "cap {cap}");
+            }
+            assert!(lazy.subdicts_built(), "cap {cap}");
+            assert_eq!(lazy.num_subdicts(), eager.num_subdicts());
+        }
     }
 
     #[test]

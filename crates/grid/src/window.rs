@@ -56,8 +56,10 @@ impl CellWindow {
     /// by squared box-to-box gap in lattice steps, ties by the number of
     /// axes stepped (face neighbours before edge and corner ones).
     pub fn gather(&mut self, index: &DictionaryIndex, id: u32) {
-        self.collect(index, id);
         let layout = index.layout();
+        self.own = layout.pos_of(id);
+        index.window_into(self.own, &mut self.scratch, &mut self.cells);
+        self.total = self.cells.iter().map(|&p| layout.total(p)).sum();
         let own = layout.coord(self.own);
         let dim = own.len();
         // Counting sort on (squared gap, axes stepped): both are at most
@@ -90,25 +92,6 @@ impl CellWindow {
             self.starts[k] += 1;
         }
         std::mem::swap(&mut self.cells, &mut self.sorted);
-    }
-
-    /// Gathers the window of the cell with dictionary id `id` like
-    /// [`Self::gather`], but in ascending dictionary-id order (a plan's
-    /// order), and returns its layout positions.
-    pub(crate) fn gather_by_id(&mut self, index: &DictionaryIndex, id: u32) -> &[u32] {
-        self.collect(index, id);
-        let layout = index.layout();
-        self.cells.sort_unstable_by_key(|&p| layout.id(p));
-        &self.cells
-    }
-
-    /// The unordered part of a gather: the own position, the window's
-    /// cells and their total.
-    fn collect(&mut self, index: &DictionaryIndex, id: u32) {
-        let layout = index.layout();
-        self.own = layout.pos_of(id);
-        index.window_into(self.own, &mut self.scratch, &mut self.cells);
-        self.total = self.cells.iter().map(|&p| layout.total(p)).sum();
     }
 
     /// Σ densities of the window's cells: an upper bound on the

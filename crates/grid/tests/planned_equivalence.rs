@@ -10,7 +10,61 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rpdbscan_grid::{CellDictionary, CellQueryPlan, DictionaryIndex, GridSpec, RegionQueryResult};
+use rpdbscan_grid::{
+    CellDictionary, CellQueryPlan, DictionaryIndex, GridSpec, PlanCandidate, RegionQueryResult,
+};
+
+/// One candidate's owned fields: id, box origin, sub-cell centres,
+/// counts and total.
+type Candidate = (u32, Vec<f64>, Vec<f64>, Vec<u32>, u64);
+
+/// The brute-force candidate list of cell `ci`: every dictionary cell
+/// `GridSpec::in_eps_window` accepts, ascending by dictionary id, with
+/// origins and centres computed by the spec.
+fn candidates(idx: &DictionaryIndex, ci: u32) -> Vec<Candidate> {
+    let dict = idx.dict();
+    let spec = dict.spec();
+    let own = &dict.entry(ci).coord;
+    (0..dict.num_cells() as u32)
+        .filter(|&c| spec.in_eps_window(own, &dict.entry(c).coord))
+        .map(|c| {
+            let e = dict.entry(c);
+            let centers = e
+                .subs
+                .iter()
+                .flat_map(|s| spec.sub_center(&e.coord, s.idx))
+                .collect();
+            let counts = e.subs.iter().map(|s| s.count).collect();
+            (
+                c,
+                spec.cell_origin(&e.coord),
+                centers,
+                counts,
+                e.count as u64,
+            )
+        })
+        .collect()
+}
+
+/// Plans cell `ci` from [`candidates`].
+fn plan_for(idx: &DictionaryIndex, ci: u32) -> CellQueryPlan {
+    let spec = idx.spec();
+    let origin = spec.cell_origin(&idx.dict().entry(ci).coord);
+    let cands = candidates(idx, ci);
+    CellQueryPlan::from_candidates(
+        spec,
+        &origin,
+        cands
+            .iter()
+            .map(|(id, origin, centers, counts, total)| PlanCandidate {
+                id: *id,
+                origin,
+                centers,
+                counts,
+                total: *total,
+            }),
+    )
+}
 
 fn random_index(seed: u64, n: usize, dim: usize, eps: f64, rho: f64, cap: u64) -> DictionaryIndex {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -32,7 +86,7 @@ fn assert_plan_matches_oracle(idx: &DictionaryIndex, seed: u64, per_cell: usize)
     let mut rng = StdRng::seed_from_u64(seed);
     let mut planned = RegionQueryResult::default();
     for ci in 0..idx.dict().num_cells() as u32 {
-        let plan = CellQueryPlan::build(idx, ci);
+        let plan = plan_for(idx, ci);
         let bb = spec.cell_aabb(&idx.dict().entry(ci).coord);
         let mut queries: Vec<Vec<f64>> = vec![bb.min().to_vec(), bb.max().to_vec()];
         for _ in 0..per_cell {
@@ -88,8 +142,8 @@ fn planned_equals_oracle_across_dims() {
 
 #[test]
 fn planned_equals_oracle_across_fragment_capacities() {
-    // The plan sorts kd candidates, so its layout — and every result — is
-    // independent of how the dictionary happens to be fragmented.
+    // The plan's candidates come from the dictionary, so its layout — and
+    // every result — is independent of how the index is fragmented.
     let base = random_index(71, 500, 2, 0.9, 0.25, u64::MAX);
     for cap in [1, 4, 32, u64::MAX] {
         let idx = DictionaryIndex::new(base.dict().clone(), cap);
@@ -104,8 +158,8 @@ fn planned_equals_oracle_across_fragment_capacities() {
                 .cell_aabb(&idx.dict().entry(ci).coord)
                 .min()
                 .to_vec();
-            CellQueryPlan::build(&idx, ci).query_into(&p, &mut a);
-            CellQueryPlan::build(&base, ci).query_into(&p, &mut b);
+            plan_for(&idx, ci).query_into(&p, &mut a);
+            plan_for(&base, ci).query_into(&p, &mut b);
             assert_eq!(a.density, b.density, "cap {cap}, cell {ci}");
             assert_eq!(a.neighbor_cells, b.neighbor_cells, "cap {cap}, cell {ci}");
         }
@@ -117,16 +171,16 @@ fn plan_accounting_is_consistent() {
     let idx = random_index(81, 400, 3, 1.3, 0.25, 64);
     let total_subcells: u64 = idx.dict().cells().iter().map(|c| c.subs.len() as u64).sum();
     for ci in 0..idx.dict().num_cells() as u32 {
-        let plan = CellQueryPlan::build(&idx, ci);
+        let plan = plan_for(&idx, ci);
         // The plan's own cell always survives pruning (distance 0).
         let own = idx.dict().index_of(&idx.dict().entry(ci).coord).unwrap();
         assert_eq!(own, ci);
         assert!(plan.num_cells() >= 1, "cell {ci}: own cell pruned");
         // Classified sub-cells are a partition of the planned cells' subs.
         assert!(plan.num_always_subcells() + plan.num_tested_subcells() as u64 <= total_subcells);
-        // Build stats carry exactly one plan and at least the own-cell
-        // candidate.
+        // Build stats carry exactly one plan, and pruning only drops
+        // candidates.
         assert_eq!(plan.build_stats().plans_built, 1);
-        assert!(plan.build_stats().cells_candidate as usize >= plan.num_cells());
+        assert!(candidates(&idx, ci).len() >= plan.num_cells());
     }
 }

@@ -1,16 +1,19 @@
 //! Ingest: build a column store file from a stream of points.
 //!
 //! Ingest is the one resident step of the out-of-core pipeline: it holds
-//! the raw coordinates while it argsorts rows by `(cell, original id)`
-//! and writes the paged columns. Everything downstream (dictionary
-//! build, Phase II, labeling) then streams cells through the buffer pool
-//! instead of owning coordinate copies. The sort/write hot loops take
-//! hoisted scratch buffers and are marked `// lint:hot` so the analyzer
-//! keeps them allocation-free.
+//! the raw coordinates while it sorts rows by `(cell, original id)` and
+//! writes the paged columns. The sort is the grid's cell sort
+//! ([`CellRuns::sort`]), the kernel the resident pipeline's Phase I-1
+//! groups points with, so the store's rows and directory are exactly
+//! the resident directory. Everything downstream (dictionary build,
+//! Phase II, labeling) then streams cells through the buffer pool
+//! instead of owning coordinate copies. The write hot loops take hoisted
+//! scratch buffers and are marked `// lint:hot` so the analyzer keeps
+//! them allocation-free.
 
 use crate::format::{self, CellMeta, Header, HEADER_BYTES};
 use crate::StoreError;
-use rpdbscan_grid::{CellCoord, GridSpec};
+use rpdbscan_grid::{CellRuns, GridSpec};
 use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -80,33 +83,26 @@ impl StoreWriter {
         self.coords.is_empty()
     }
 
-    /// Sorts rows by `(cell, original id)` and writes the store file.
+    /// Sorts rows by `(cell, original id)` with the cell sort and writes
+    /// the store file.
     pub fn finish(self, path: &Path) -> Result<IngestStats, StoreError> {
         let dim = self.dim;
         let n = self.len();
 
-        // Cell of every point, then the argsort; both buffers are the
-        // ingest's own scratch, allocated once for the whole dataset.
-        let mut cells: Vec<CellCoord> = Vec::with_capacity(n as usize);
-        for row in self.coords.chunks_exact(dim.max(1)) {
-            cells.push(self.spec.cell_of(row));
-        }
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        sort_rows_by_cell(&cells, &mut order);
-
-        // Directory: runs of equal cells over the sorted order.
-        let mut dir_cells: Vec<CellMeta> = Vec::new();
-        for (row, &orig) in order.iter().enumerate() {
-            let coord = &cells[orig as usize];
-            match dir_cells.last_mut() {
-                Some(last) if &last.coord == coord => last.row_count += 1,
-                _ => dir_cells.push(CellMeta {
-                    coord: coord.clone(),
-                    row_start: row as u64,
-                    row_count: 1,
-                }),
-            }
-        }
+        // The cell sort: its id order is the row order, its cells the
+        // directory.
+        let runs = CellRuns::sort(&self.spec, &self.coords, 0);
+        let order = runs.all_ids();
+        let dir_cells: Vec<CellMeta> = (0..runs.len())
+            .map(|ci| {
+                let rows = runs.rows(ci);
+                CellMeta {
+                    coord: runs.coord(ci),
+                    row_start: rows.start as u64,
+                    row_count: rows.len() as u64,
+                }
+            })
+            .collect();
 
         let file = File::create(path)?;
         let mut w = BufWriter::new(file);
@@ -123,19 +119,13 @@ impl StoreWriter {
                 &self.coords,
                 dim,
                 c,
-                &order,
+                order,
                 self.page_rows,
                 &mut page_buf,
                 &mut page_sums,
             )?;
         }
-        write_perm_column(
-            &mut w,
-            &order,
-            self.page_rows,
-            &mut page_buf,
-            &mut page_sums,
-        )?;
+        write_perm_column(&mut w, order, self.page_rows, &mut page_buf, &mut page_sums)?;
 
         let dir = format::encode_directory(&dir_cells, &page_sums);
         w.write_all(&dir)?;
@@ -162,17 +152,6 @@ impl StoreWriter {
             file_bytes: header.dir_offset + header.dir_bytes,
         })
     }
-}
-
-/// Argsort of rows by `(cell coordinate, original id)` — ids ascend
-/// within a cell, matching the resident pipeline's per-cell point order.
-// lint:hot
-fn sort_rows_by_cell(cells: &[CellCoord], order: &mut [u32]) {
-    order.sort_unstable_by(|&a, &b| {
-        cells[a as usize]
-            .cmp(&cells[b as usize])
-            .then_with(|| a.cmp(&b))
-    });
 }
 
 /// Writes one coordinate column in sorted row order, page by page,
@@ -243,12 +222,28 @@ mod tests {
     #[test]
     fn sort_is_by_cell_then_id() {
         let spec = GridSpec::new(1, 1.0, 0.5).unwrap();
-        let cells: Vec<CellCoord> = [5.0, 0.5, 5.1, 0.2]
+        let mut w = StoreWriter::new(spec.clone(), 4).unwrap();
+        for v in [5.0, 0.5, 5.1, 0.2] {
+            w.push(&[v]).unwrap();
+        }
+        let path = std::env::temp_dir().join(format!("writer-sort-{}.store", std::process::id()));
+        let stats = w.finish(&path).unwrap();
+        let store = crate::ColumnStore::open(&path).unwrap();
+        let mut perm = Vec::new();
+        store.read_page(1, 0, &mut perm).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(stats.cells, 2);
+        let cells: Vec<(Vec<i64>, u64, u64)> = store
+            .cells()
             .iter()
-            .map(|&v| spec.cell_of(&[v]))
+            .map(|m| (m.coord.coords().to_vec(), m.row_start, m.row_count))
             .collect();
-        let mut order: Vec<u32> = (0..4).collect();
-        sort_rows_by_cell(&cells, &mut order);
-        assert_eq!(order, vec![1, 3, 0, 2]);
+        assert_eq!(cells, vec![(vec![0], 0, 2), (vec![5], 2, 2)]);
+        // The permutation column lists original ids in row order.
+        let ids: Vec<u32> = perm
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect();
+        assert_eq!(ids, vec![1, 3, 0, 2]);
     }
 }

@@ -49,3 +49,10 @@ pub fn hot_gather_clean(gathered: &mut Vec<u64>, key: u64) -> u64 {
     gathered.push(key);
     out[0]
 }
+
+// lint:hot
+pub fn hot_boxes_cells(spec: &GridSpec, rows: &[f64], out: &mut Vec<i64>) -> usize {
+    // A flat lattice row is not a finding; a boxed coordinate is.
+    spec.lattice_into(&rows[..2], out);
+    spec.cell_of(&rows[..2]).dim()
+}

@@ -64,7 +64,7 @@ pub const RULE_DESCRIPTIONS: [&str; 12] = [
     "no unsafe code anywhere; every crate root carries #![forbid(unsafe_code)]",
     "every Cargo.toml dependency is path-based or workspace-inherited; vendored crates carry no build.rs",
     "lint:allow(<rule>): <reason> — reason mandatory, unknown rules and unused allows are findings",
-    "no Vec::new/vec![..]/.to_vec/.collect inside a function marked // lint:hot — hoist scratch buffers to the caller",
+    "no Vec::new/vec![..]/.to_vec/.collect/.cell_of inside a function marked // lint:hot — hoist scratch buffers to the caller",
     "no Mutex/RwLock guard held across run_stage/channel sends/condvar waits; workspace lock acquisition order must be acyclic",
     "every atomic Ordering:: site carries // sync: <invariant>; Relaxed forbidden on publish/verify paths; Release stores pair with Acquire loads",
     "every workspace member in the root Cargo.toml is classified in scope.rs — new crates must be placed under the lint regime explicitly",
@@ -525,7 +525,8 @@ fn sink_waived(t: &[Token], i: usize) -> bool {
 }
 
 /// `hot-path-alloc`: per-call heap allocation (`Vec::new`, `vec![..]`,
-/// `.to_vec()`, `.collect()`) inside a function whose preceding own-line comment is
+/// `.to_vec()`, `.collect()`, and `.cell_of()`, which boxes a cell
+/// coordinate) inside a function whose preceding own-line comment is
 /// exactly `// lint:hot`. The marker is the opt-in: unmarked functions
 /// allocate freely, marked ones are the per-point loops (region queries,
 /// planned queries) where an allocation per call dominates the profile.
@@ -593,6 +594,11 @@ fn hot_path_alloc(
                         && (punct_at(t, j + 1, "(") || punct_at(t, j + 1, "::")) =>
                 {
                     ".collect()"
+                }
+                // `GridSpec::cell_of` boxes a fresh `CellCoord` per call;
+                // per-point loops write flat rows with `lattice_into`.
+                "cell_of" if punct_at(t, j.wrapping_sub(1), ".") && punct_at(t, j + 1, "(") => {
+                    ".cell_of()"
                 }
                 _ => continue,
             };

@@ -283,6 +283,7 @@ fn hot_alloc_rule_is_marker_scoped_and_suppressible() {
             ("hot-path-alloc", 33), // .to_vec() in a marked const-generic kernel fn
             ("hot-path-alloc", 39), // .collect() in a marked fn
             ("hot-path-alloc", 40), // .collect::<Vec<_>>() in a marked fn
+            ("hot-path-alloc", 57), // .cell_of() boxes a coordinate in a marked fn
         ],
         "unmarked functions, comments, strings, and Vec::with_capacity \
          in the gather path must not fire: {:?}",
