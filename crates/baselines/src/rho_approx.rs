@@ -9,12 +9,12 @@
 //! the cell-based approximation of Gan & Tao that RP-DBSCAN generalises.
 
 use rpdbscan_core::label::{assemble_clustering, label_partition, LabelSupport};
-use rpdbscan_core::partition::group_by_cell;
+use rpdbscan_core::partition::{dictionary_of, group_by_cell};
 use rpdbscan_core::phase2::{build_local_clustering, QueryRouting};
 use rpdbscan_core::CellSource;
 use rpdbscan_engine::TaskError;
 use rpdbscan_geom::Dataset;
-use rpdbscan_grid::{CellDictionary, DictionaryIndex, GridSpec};
+use rpdbscan_grid::{DictionaryIndex, GridSpec};
 use rpdbscan_metrics::Clustering;
 
 /// ρ-approximate DBSCAN result with core flags.
@@ -46,8 +46,7 @@ pub fn rho_approx_dbscan(
         cells: &cells,
     };
     let all: Vec<u32> = (0..cells.len() as u32).collect();
-    let dict = CellDictionary::build_from_points(spec, data.iter().map(|(_, p)| p));
-    let index = DictionaryIndex::single(dict);
+    let index = DictionaryIndex::single(dictionary_of(&spec, data, &cells));
     let local = build_local_clustering(&src, &all, &index, min_pts, QueryRouting::Window)?;
 
     let mut core = vec![false; data.len()];

@@ -14,7 +14,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rpdbscan_engine::Engine;
 use rpdbscan_geom::{Dataset, PointId};
-use rpdbscan_grid::{CellCoord, CellRuns, GridSpec};
+use rpdbscan_grid::{CellCoord, CellDictionary, CellEntry, CellRuns, GridSpec};
 
 /// The points of one cell, kept together through partitioning.
 #[derive(Debug, Clone)]
@@ -33,6 +33,21 @@ pub struct CellPoints {
 /// on the engine.
 pub fn group_by_cell(spec: &GridSpec, data: &Dataset) -> Vec<CellPoints> {
     cell_points(&CellRuns::sort(spec, data.flat(), 0), PointId)
+}
+
+/// The cell dictionary of `data` from its [`group_by_cell`] grouping
+/// `cells`: one entry per cell, in the grouping's coordinate order, so
+/// it equals [`CellDictionary::build_from_points`] over the same points
+/// without sorting them by cell a second time.
+pub fn dictionary_of(spec: &GridSpec, data: &Dataset, cells: &[CellPoints]) -> CellDictionary {
+    let entries = cells.iter().map(|c| {
+        CellEntry::from_points(
+            spec,
+            c.coord.clone(),
+            c.points.iter().map(|&p| data.point(p)),
+        )
+    });
+    CellDictionary::from_entries(spec.clone(), entries)
 }
 
 /// [`group_by_cell`] as two engine stages, a sample sort. The Map sorts

@@ -1,12 +1,13 @@
 //! The exact grid backend: a thin adapter over the batch driver.
 
 use crate::{DensityBackend, DensityError, DensityOutput, DensityStats};
+use rpdbscan_core::partition::{dictionary_of, group_by_cell};
 use rpdbscan_core::phase2::{build_local_clustering, QueryRouting};
-use rpdbscan_core::{partition::group_by_cell, CellSource, DensityBackendKind};
+use rpdbscan_core::{CellSource, DensityBackendKind};
 use rpdbscan_core::{RpDbscan, RpDbscanParams};
 use rpdbscan_engine::Engine;
 use rpdbscan_geom::{Dataset, PointId};
-use rpdbscan_grid::{CellDictionary, DictionaryIndex, GridSpec};
+use rpdbscan_grid::{DictionaryIndex, GridSpec};
 
 /// The paper's exact `(ε,ρ)`-region-query density, unchanged.
 ///
@@ -38,14 +39,14 @@ impl DensityBackend for ExactGrid {
         let p = &self.params;
         let spec =
             GridSpec::new(data.dim(), p.eps, p.rho).map_err(rpdbscan_core::CoreError::from)?;
-        let dict = CellDictionary::build_from_points(spec, data.iter().map(|(_, pt)| pt));
-        let index = DictionaryIndex::new(dict, p.subdict_capacity);
+        // One cell sort groups the points and feeds the dictionary.
+        let cells = group_by_cell(&spec, data);
+        let index = DictionaryIndex::new(dictionary_of(&spec, data, &cells), p.subdict_capacity);
 
         // Core status is a per-point property, so any cell split gives
         // the same flags; chunk the (already coordinate-sorted) cells
         // into `num_partitions` contiguous directory-index ranges for
         // engine fan-out.
-        let cells = group_by_cell(index.spec(), data);
         let src = CellSource::Resident {
             data,
             cells: &cells,

@@ -282,7 +282,7 @@ fn lattice_rows(spec: &GridSpec, coords: &[f64], rows: &mut Vec<i64>) {
 /// shares moves nothing, so a 2-d range of 12.5k rows takes about four
 /// scatter passes: 0.3 ms where a comparison argsort of the flat rows
 /// took 1.9 ms on the 2-core host of EXPERIMENTS.md.
-fn argsort_rows(rows: &[i64], dim: usize, order: &mut Vec<u32>) {
+pub(crate) fn argsort_rows(rows: &[i64], dim: usize, order: &mut Vec<u32>) {
     let n = order.len();
     if n <= 1 {
         return;

@@ -49,7 +49,7 @@ pub use fxhash::{FxHashMap, FxHashSet};
 pub use plan::{CellQueryPlan, PlanCandidate, PLAN_SLACK};
 pub use query::{QueryStats, RegionQueryResult};
 pub use spec::GridSpec;
-pub use subdict::DictionaryIndex;
+pub use subdict::{DictionaryIndex, GatherScratch};
 pub use window::CellWindow;
 
 /// Errors produced by grid construction.

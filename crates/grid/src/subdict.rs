@@ -24,6 +24,7 @@
 //! [`CellEntry`]: crate::dictionary::CellEntry
 
 use crate::cell::for_each_in_box;
+use crate::cellsort::argsort_rows;
 use crate::dictionary::CellDictionary;
 use crate::fxhash::FxHashMap;
 use crate::plan::PLAN_SLACK;
@@ -101,7 +102,7 @@ impl SubDictionary {
 
 /// The dictionary in structure-of-arrays form, cells in coordinate
 /// order: what the query hot loops read (§5 region queries and the
-/// ε-window gather of [`DictionaryIndex::window_into`]).
+/// ε-window gather of [`DictionaryIndex::window_at`]).
 ///
 /// A cell's row is its *layout position*, the rank of its lattice
 /// coordinate; its dictionary id (deal order, which numbers clusters)
@@ -152,8 +153,14 @@ impl CellLayout {
             u32::try_from(subs).is_ok(),
             "{subs} sub-cells overflow the layout's u32 offsets"
         );
+        // Coordinates are distinct, so the cell sort's radix argsort of
+        // the flat lattice rows gives the one coordinate order.
+        let mut rows = Vec::with_capacity(n * dim);
+        for entry in dict.cells() {
+            rows.extend_from_slice(entry.coord.coords());
+        }
         let mut ids: Vec<u32> = (0..n as u32).collect();
-        ids.sort_unstable_by(|&a, &b| dict.entry(a).coord.cmp(&dict.entry(b).coord));
+        argsort_rows(&rows, dim, &mut ids);
         let mut layout = Self {
             dim,
             pos_of: vec![0; n],
@@ -279,7 +286,7 @@ fn partition_point(mut a: u32, mut b: u32, pred: impl Fn(u32) -> bool) -> u32 {
 /// per-fragment kd-trees.
 ///
 /// The fragments are built on first use ([`Self::subdicts`]): by the
-/// per-point region query, the kd search of [`Self::window_into`] and
+/// per-point region query, the kd search of [`Self::window_at`] and
 /// the gather rule's sample. An index whose windows take the column walk
 /// (every 1- to 3-d one) never builds them.
 #[derive(Debug, Clone)]
@@ -289,7 +296,7 @@ pub struct DictionaryIndex {
     cap: u64,
     subdicts: OnceLock<Vec<SubDictionary>>,
     layout: CellLayout,
-    /// The column walk's stencil, or `None` when [`Self::window_into`]
+    /// The column walk's stencil, or `None` when [`Self::window_at`]
     /// runs the kd search instead.
     stencil: Option<ColumnStencil>,
 }
@@ -429,16 +436,31 @@ impl DictionaryIndex {
 
     /// Whether the ε-window gather walks the column directory (`true`)
     /// or searches the fragment kd-trees (`false`); fixed when the index
-    /// is built (see [`Self::window_into`]).
+    /// is built (see [`Self::window_at`]).
     pub fn column_walks(&self) -> bool {
         self.stencil.is_some()
     }
 
-    /// The ε-window of the cell at layout position `pos`: every occupied
-    /// cell that [`GridSpec::in_eps_window`] accepts, the cell itself
-    /// included, as ascending layout positions (coordinate order). Clears
-    /// `out` first; a caller that keeps `scratch` across gathers
-    /// allocates nothing in steady state.
+    /// The dictionary id of the cell at layout position `pos` (positions
+    /// rank the cells by lattice coordinate; see [`Self::window_at`]).
+    #[inline]
+    pub fn id_at(&self, pos: u32) -> u32 {
+        self.layout.id(pos)
+    }
+
+    /// The lattice coordinate of the cell at layout position `pos`.
+    #[inline]
+    pub fn coord_at(&self, pos: u32) -> &[i64] {
+        self.layout.coord(pos)
+    }
+
+    /// The ε-window of the lattice coordinate `coord`, occupied or not:
+    /// every occupied cell that [`GridSpec::in_eps_window`] accepts (the
+    /// cell at `coord` itself included when occupied), as ascending
+    /// layout positions, which is coordinate order. Clears `out` first; a
+    /// caller that keeps `scratch` across gathers allocates nothing in
+    /// steady state. Phase II, stream repair's dirty region and serving's
+    /// plans all gather through it.
     ///
     /// Two gathers return the same set; a rule fixed when the index is
     /// built picks one. The *column walk* visits the window's lattice
@@ -462,30 +484,36 @@ impl DictionaryIndex {
     /// A stencil box with more columns than the directory holds is not
     /// built at all.
     // lint:hot
-    pub(crate) fn window_into(&self, pos: u32, scratch: &mut GatherScratch, out: &mut Vec<u32>) {
+    pub fn window_at(&self, coord: &[i64], scratch: &mut GatherScratch, out: &mut Vec<u32>) {
+        debug_assert_eq!(coord.len(), self.layout.dim, "coordinate dimension");
         out.clear();
         match &self.stencil {
-            Some(stencil) => self.walk_columns(stencil, pos, &mut scratch.column, out),
+            Some(stencil) => self.walk_columns(stencil, coord, &mut scratch.column, out),
             None => {
-                self.search_window(pos, scratch, out);
+                self.search_window(coord, scratch, out);
                 out.sort_unstable();
             }
         }
     }
 
-    /// The column walk of [`Self::window_into`]; `column` is scratch for
+    /// [`Self::window_at`] of the cell at layout position `pos`.
+    #[inline]
+    pub(crate) fn window_into(&self, pos: u32, scratch: &mut GatherScratch, out: &mut Vec<u32>) {
+        self.window_at(self.layout.coord(pos), scratch, out);
+    }
+
+    /// The column walk of [`Self::window_at`]; `column` is scratch for
     /// the probe key.
     // lint:hot
     fn walk_columns(
         &self,
         stencil: &ColumnStencil,
-        pos: u32,
+        c: &[i64],
         column: &mut Vec<i64>,
         out: &mut Vec<u32>,
     ) {
         let layout = &self.layout;
         let dim = layout.dim;
-        let c = layout.coord(pos);
         let (lead, last) = (&c[..dim - 1], c[dim - 1]);
         column.clear();
         column.resize(dim - 1, 0);
@@ -504,20 +532,22 @@ impl DictionaryIndex {
         }
     }
 
-    /// The kd search of [`Self::window_into`]: appends the window's
+    /// The kd search of [`Self::window_at`]: appends the window's
     /// positions to `out` in visit order and returns the number of tree
     /// hits it tested (the gather rule's measure of its cost).
     // lint:hot
-    fn search_window(&self, pos: u32, scratch: &mut GatherScratch, out: &mut Vec<u32>) -> usize {
+    fn search_window(&self, c: &[i64], scratch: &mut GatherScratch, out: &mut Vec<u32>) -> usize {
         let spec = self.spec();
         let layout = &self.layout;
         let eps2 = spec.eps() * spec.eps();
         let side = spec.side();
-        let c = layout.coord(pos);
-        let qlo = layout.origin(pos);
-        let qhi = &mut scratch.hi;
-        qhi.clear();
-        qhi.extend(qlo.iter().map(|v| v + side));
+        // The box of `c`, by the layout's origin arithmetic.
+        let GatherScratch { lo, hi, stack, .. } = scratch;
+        lo.clear();
+        lo.extend(c.iter().map(|&x| x as f64 * side));
+        hi.clear();
+        hi.extend(lo.iter().map(|v| v + side));
+        let (qlo, qhi) = (&lo[..], &hi[..]);
         let kd_radius = spec.eps() + spec.cell_diag();
         let mut hits = 0;
         for sd in self.subdicts() {
@@ -541,7 +571,7 @@ impl DictionaryIndex {
                 continue;
             }
             sd.tree()
-                .for_each_near_box(qlo, qhi, kd_radius, &mut scratch.stack, |p, _| {
+                .for_each_near_box(qlo, qhi, kd_radius, stack, |p, _| {
                     hits += 1;
                     if spec.in_eps_window_at(c, layout.coord(p)) {
                         out.push(p);
@@ -551,7 +581,7 @@ impl DictionaryIndex {
         hits
     }
 
-    /// The gather rule of [`Self::window_into`]: whether the column walk
+    /// The gather rule of [`Self::window_at`]: whether the column walk
     /// over `stencil` is expected to cost no more than the kd search.
     fn column_walk_pays(&self, stencil: &ColumnStencil) -> bool {
         let n = self.layout.ids.len();
@@ -566,14 +596,15 @@ impl DictionaryIndex {
         // pays for few samples.
         excess == 0
             || (0..k).any(|i| {
-                hits += self.search_window((i * n / k) as u32, &mut scratch, &mut out);
+                let c = self.layout.coord((i * n / k) as u32);
+                hits += self.search_window(c, &mut scratch, &mut out);
                 out.clear();
                 hits * PROBES_PER_HIT >= excess
             })
     }
 }
 
-/// Cells the gather rule of [`DictionaryIndex::window_into`] samples.
+/// Cells the gather rule of [`DictionaryIndex::window_at`] samples.
 const RULE_SAMPLE: usize = 64;
 
 /// The gather rule's kd cost per cell, in column-walk probes (a
@@ -586,12 +617,14 @@ const KD_BASE_PROBES: usize = 64;
 /// probes.
 const PROBES_PER_HIT: usize = 4;
 
-/// Scratch buffers of [`DictionaryIndex::window_into`].
+/// Scratch buffers of [`DictionaryIndex::window_at`]: a caller that
+/// keeps one across gathers allocates nothing in steady state.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct GatherScratch {
+pub struct GatherScratch {
     /// The column walk's probe key.
     column: Vec<i64>,
-    /// The kd search's query box upper corner.
+    /// The kd search's query box, lower and upper corner.
+    lo: Vec<f64>,
     hi: Vec<f64>,
     /// The kd search's traversal stack.
     stack: Vec<(u32, f64)>,

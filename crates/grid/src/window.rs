@@ -3,7 +3,7 @@
 //! Phase II needs two facts about each cell: which of its points are
 //! core, and which cells its core points reach. Neither needs a per-point
 //! region query. [`CellWindow`] gathers the cell's ε-window once
-//! ([`DictionaryIndex::window_into`]) and answers both from it, with the
+//! ([`DictionaryIndex::window_at`]) and answers both from it, with the
 //! two grid-DBSCAN techniques of Wang, Gu and Shun:
 //!
 //! * **Early-exit core marking.** A window whose total density is below
@@ -215,8 +215,12 @@ mod tests {
     /// The brute-force window: every dictionary cell `in_eps_window`
     /// accepts, by dictionary id, ascending.
     fn brute_window(dict: &CellDictionary, id: u32) -> Vec<u32> {
+        brute_window_at(dict, &dict.entry(id).coord)
+    }
+
+    /// [`brute_window`] of any lattice coordinate, occupied or not.
+    fn brute_window_at(dict: &CellDictionary, own: &CellCoord) -> Vec<u32> {
         let spec = dict.spec();
-        let own: &CellCoord = &dict.entry(id).coord;
         let mut ids: Vec<u32> = (0..dict.num_cells() as u32)
             .filter(|&c| spec.in_eps_window(own, &dict.entry(c).coord))
             .collect();
@@ -224,11 +228,44 @@ mod tests {
         ids
     }
 
+    /// Unoccupied lattice coordinates around `dict`'s cells: a step off
+    /// every few cells (mostly gaps between cells), and the corners of
+    /// the occupied extent pushed out by `b − 1`, `b` and `b + 3` lattice
+    /// steps (`b` the window reach), which touch the lattice, graze it
+    /// and miss it.
+    fn unoccupied_probes(dict: &CellDictionary) -> Vec<CellCoord> {
+        let dim = dict.spec().dim();
+        let b = dict.spec().window_reach();
+        let mut probes = Vec::new();
+        for (i, cell) in dict.cells().iter().enumerate().step_by(3) {
+            let mut c = cell.coord.coords().to_vec();
+            c[i % dim] += if i % 2 == 0 { 1 } else { -2 };
+            probes.push(CellCoord::new(c));
+        }
+        let (mut lo, mut hi) = (vec![i64::MAX; dim], vec![i64::MIN; dim]);
+        for cell in dict.cells() {
+            for (a, &x) in cell.coord.coords().iter().enumerate() {
+                lo[a] = lo[a].min(x);
+                hi[a] = hi[a].max(x);
+            }
+        }
+        for push in [b - 1, b, b + 3] {
+            probes.push(CellCoord::new(lo.iter().map(|&x| x - push)));
+            probes.push(CellCoord::new(hi.iter().map(|&x| x + push)));
+            let mut mixed = lo.clone();
+            mixed[0] = hi[0] + push;
+            probes.push(CellCoord::new(mixed));
+        }
+        probes.retain(|c| dict.index_of(c).is_none());
+        probes
+    }
+
     #[test]
     fn window_into_matches_brute_force_scan_on_both_gathers() {
         let (mut scratch, mut out) = (GatherScratch::default(), Vec::new());
         let mut window = CellWindow::default();
         let (mut walked, mut searched) = (0, 0);
+        let (mut unoccupied, mut nonempty) = (0, 0);
         for dim in 1..=5 {
             // A small extent fills few columns, a large one many: the
             // stencil's column bound and the gather rule's cost estimate
@@ -248,6 +285,17 @@ mod tests {
                         searched += 1;
                     }
                     let layout = idx.layout();
+                    // Unoccupied coordinates: gaps and off the lattice.
+                    for probe in unoccupied_probes(&dict) {
+                        idx.window_at(probe.coords(), &mut scratch, &mut out);
+                        assert!(out.windows(2).all(|w| w[0] < w[1]), "not ascending");
+                        let mut ids: Vec<u32> = out.iter().map(|&p| layout.id(p)).collect();
+                        ids.sort_unstable();
+                        let at = format!("dim {dim} n {n} cap {cap} probe {probe}");
+                        assert_eq!(ids, brute_window_at(&dict, &probe), "{at}");
+                        unoccupied += 1;
+                        nonempty += usize::from(!ids.is_empty());
+                    }
                     for id in 0..dict.num_cells() as u32 {
                         idx.window_into(layout.pos_of(id), &mut scratch, &mut out);
                         assert!(out.windows(2).all(|w| w[0] < w[1]), "not ascending");
@@ -268,6 +316,10 @@ mod tests {
         assert!(
             walked > 0 && searched > 0,
             "walked {walked}, searched {searched}"
+        );
+        assert!(
+            nonempty > 0 && nonempty < unoccupied,
+            "{nonempty} of {unoccupied} unoccupied windows hold a cell"
         );
     }
 

@@ -17,17 +17,20 @@
 //! coordinate the clustering never saw) falls back to every core cell
 //! whose box is within ε, still visited in coordinate order.
 //!
-//! The density half of a classify is the grid's [`CellQueryPlan`], the
-//! planner stream repair also runs, built by [`CellQueryPlan::from_candidates`] from
-//! the cell's lattice window: the never/always/tested classification
-//! and the per-point walk exist once, in `rpdbscan_grid::plan`.
+//! The density half of a classify is the grid's [`CellQueryPlan`], built
+//! by [`CellQueryPlan::from_candidates`] from the cell's ε-window: the
+//! never/always/tested classification and the per-point walk exist
+//! once, in `rpdbscan_grid::plan`. The window itself is gathered from
+//! the generation's [`DictionaryIndex`] ([`DictionaryIndex::window_at`],
+//! Phase II's gather) and mapped from layout positions to records.
 
 use crate::patch::{stream_cells, DirtyCell, LabelRows, PatchSummary};
 use crate::ServeError;
 use rpdbscan_core::{CellExport, RpDbscanOutput};
 use rpdbscan_geom::{dist2, kernel, Dataset};
 use rpdbscan_grid::{
-    for_each_in_box, CellCoord, CellDictionary, CellQueryPlan, FxHashMap, GridSpec, PlanCandidate,
+    for_each_in_box, CellCoord, CellDictionary, CellQueryPlan, DictionaryIndex, FxHashMap,
+    GatherScratch, GridSpec, PlanCandidate,
 };
 use rpdbscan_stream::StreamingRpDbscan;
 use std::sync::Arc;
@@ -210,10 +213,26 @@ pub struct ServingIndex {
     /// a previous generation ([`ServingIndex::patch_from_stream`]),
     /// `None` for a full build.
     pub(crate) patch: Option<PatchSummary>,
+    /// The index over this generation's dictionary, which every plan's
+    /// ε-window is gathered from: the stream's own epoch index for
+    /// [`Self::from_stream`] and [`Self::patch_from_stream`], one built
+    /// from the run's dictionary for [`Self::from_batch`].
+    pub(crate) dict_index: Arc<DictionaryIndex>,
+    /// The record of the cell at each layout position of `dict_index`.
+    pub(crate) refs: Vec<Option<CellRef>>,
     /// Tail generation counter, written last at construction; equal to
     /// `generation` in any fully constructed index, so a reader seeing
     /// the pair disagree would have caught a torn publication.
     pub(crate) generation_tail: u64,
+}
+
+/// Scratch buffers of a plan build: the window gather's, and the
+/// window as layout positions and as records.
+#[derive(Debug, Default)]
+pub(crate) struct PlanScratch {
+    gather: GatherScratch,
+    positions: Vec<u32>,
+    window: Vec<CellRef>,
 }
 
 /// FNV-1a over a cell's lattice coordinates: the shard routing hash.
@@ -279,7 +298,8 @@ impl ServingIndex {
             cells[shard_of_cell(&export.coord, k)].push((export.coord.clone(), Some(export)));
         }
         let rows = stored.iter().enumerate().map(|(i, &l)| (i as u32, l));
-        Ok(Self::from_empty(dict, generation, cells, rows))
+        let index = Arc::new(DictionaryIndex::single(dict.clone()));
+        Ok(Self::from_empty(&index, generation, cells, rows))
     }
 
     /// Builds an index from the streaming clusterer's current epoch.
@@ -287,19 +307,20 @@ impl ServingIndex {
     /// [`IndexSlot::publish_if_newer`](crate::IndexSlot::publish_if_newer)
     /// can skip republishing unchanged epochs.
     pub fn from_stream(stream: &StreamingRpDbscan, num_shards: usize) -> Self {
-        let dict = stream.dictionary();
-        // The stream's dictionary holds exactly its occupied cells.
-        let mut coords: Vec<&CellCoord> = dict.cells().iter().map(|c| &c.coord).collect();
-        coords.sort_unstable();
+        // The epoch index holds exactly the stream's occupied cells, and
+        // its layout positions rank them by coordinate.
+        let index = stream.index();
+        let dict = index.dict();
+        let coords = (0..dict.num_cells() as u32).map(|pos| &dict.entry(index.id_at(pos)).coord);
         let cells = stream_cells(stream, coords, num_shards.max(1));
-        Self::from_empty(dict, stream.epoch(), cells, stream.export_label_rows())
+        Self::from_empty(index, stream.epoch(), cells, stream.export_label_rows())
     }
 
     /// A full build: the shard patch applied to an empty generation with
     /// one shard per `cells` bucket, every cell dirty and every label
     /// row given.
     fn from_empty<D>(
-        dict: &CellDictionary,
+        index: &Arc<DictionaryIndex>,
         generation: u64,
         cells: Vec<D>,
         rows: impl IntoIterator<Item = (u32, Option<u32>)>,
@@ -308,7 +329,7 @@ impl ServingIndex {
         D: IntoIterator<Item = DirtyCell> + Send,
     {
         let k = cells.len();
-        let spec = dict.spec();
+        let spec = index.spec();
         let empty = Self {
             spec: spec.clone(),
             eps2: spec.eps() * spec.eps(),
@@ -318,9 +339,11 @@ impl ServingIndex {
             clusters: Vec::new(),
             num_points: 0,
             patch: None,
+            dict_index: Arc::clone(index),
+            refs: Vec::new(),
             generation_tail: 0,
         };
-        Self::apply_patch(&empty, dict, generation, cells, &LabelRows::full(rows, k)).0
+        Self::apply_patch(&empty, index, generation, cells, &LabelRows::full(rows, k)).0
     }
 
     /// The grid the index serves over.
@@ -446,8 +469,15 @@ impl ServingIndex {
     /// the index, so the server memoises them per cell — and
     /// pre-populates them at publish time.
     pub fn plan_for(&self, coord: &CellCoord) -> CellPlan {
+        self.plan_with(coord, &mut PlanScratch::default())
+    }
+
+    /// [`Self::plan_for`] with the caller's scratch, so a warm sweep
+    /// reuses one set of buffers.
+    fn plan_with(&self, coord: &CellCoord, scratch: &mut PlanScratch) -> CellPlan {
         let home = self.find_cell(coord);
-        let window = self.window_candidates(coord);
+        self.window_candidates(coord, scratch);
+        let window = &scratch.window;
         let sources = match home {
             // Core home cell: the label is the cell's cluster, no
             // per-point checks needed.
@@ -473,7 +503,7 @@ impl ServingIndex {
             &self.spec,
             &self.spec.cell_origin(coord),
             (0u32..)
-                .zip(&window)
+                .zip(window)
                 .map(|(i, &c)| self.record(c).candidate(i)),
         );
         CellPlan {
@@ -483,46 +513,20 @@ impl ServingIndex {
         }
     }
 
-    /// Occupied cells whose box is within ε of `coord`'s box, in
-    /// coordinate order. Enumerates the `(2b+1)^d` window when that is
-    /// cheaper than scanning the cell table, mirroring the streaming
-    /// subsystem's dirty-region fallback for high dimensions.
-    fn window_candidates(&self, coord: &CellCoord) -> Vec<CellRef> {
-        let dim = self.spec.dim();
-        let b = self.spec.window_reach();
-        let width = (2 * b + 1) as usize;
-        let box_cost = width.checked_pow(dim as u32);
-        let table_cost = self.num_cells();
-        if box_cost.is_some_and(|c| c <= table_cost.saturating_mul(4)) {
-            // The box walk visits lattice points in coordinate order, so
-            // candidates come out sorted.
-            let lo: Vec<i64> = coord.coords().iter().map(|&c| c - b).collect();
-            let hi: Vec<i64> = coord.coords().iter().map(|&c| c + b).collect();
-            let mut out = Vec::new();
-            for_each_in_box(&lo, &hi, |p| {
-                let cc = CellCoord::new(p.iter().copied());
-                if self.spec.in_eps_window(coord, &cc) {
-                    if let Some(r) = self.find_cell(&cc) {
-                        out.push(r);
-                    }
-                }
-            });
-            out
-        } else {
-            // High dimension: the window would dwarf the table — scan
-            // every record instead and sort by coordinate.
-            let mut hits: Vec<(CellCoord, CellRef)> = Vec::new();
-            for (s, shard) in self.shards.iter().enumerate() {
-                for (r, rec) in shard.records.iter().enumerate() {
-                    let Some(rec) = rec else { continue };
-                    if self.spec.in_eps_window(coord, &rec.coord) {
-                        hits.push((rec.coord.clone(), (s as u32, r as u32)));
-                    }
-                }
-            }
-            hits.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            hits.into_iter().map(|(_, r)| r).collect()
-        }
+    /// Leaves in `scratch.window` the records of the occupied cells
+    /// whose box is within ε of `coord`'s box, in coordinate order: the
+    /// generation index's [`DictionaryIndex::window_at`], mapped from
+    /// layout positions to records.
+    // lint:hot
+    fn window_candidates(&self, coord: &CellCoord, scratch: &mut PlanScratch) {
+        let PlanScratch {
+            gather,
+            positions,
+            window,
+        } = scratch;
+        self.dict_index.window_at(coord.coords(), gather, positions);
+        window.clear();
+        window.extend(positions.iter().filter_map(|&p| self.refs[p as usize]));
     }
 
     /// Classifies a coordinate against the served clustering: the label
@@ -580,7 +584,9 @@ impl ServingIndex {
         self.validate(q)?;
         let coord = self.spec.cell_of(q);
         let home = self.find_cell(&coord);
-        let candidates = self.window_candidates(&coord);
+        let mut scratch = PlanScratch::default();
+        self.window_candidates(&coord, &mut scratch);
+        let candidates = scratch.window;
         let label = match home {
             Some(h) if self.record(h).cluster.is_some() => self.record(h).cluster,
             _ => {
@@ -649,10 +655,11 @@ impl ServingIndex {
             .flat_map(|s| s.records.iter().flatten().map(|r| r.coord.clone()))
             .collect();
         occupied.sort_unstable();
+        let mut scratch = PlanScratch::default();
         let mut out: Vec<(CellCoord, CellPlan)> = occupied
             .iter()
             .take(budget)
-            .map(|c| (c.clone(), self.plan_for(c)))
+            .map(|c| (c.clone(), self.plan_with(c, &mut scratch)))
             .collect();
         // Neighbourhood warming only pays while the 3^d halo is small
         // relative to the budget headroom; high dimensions skip it.
@@ -674,7 +681,7 @@ impl ServingIndex {
                 if out.len() >= budget {
                     break;
                 }
-                let plan = self.plan_for(&c);
+                let plan = self.plan_with(&c, &mut scratch);
                 out.push((c, plan));
             }
         }
@@ -699,10 +706,11 @@ impl ServingIndex {
             .collect();
         coords.sort_unstable();
         coords.truncate(budget);
+        let mut scratch = PlanScratch::default();
         coords
             .into_iter()
             .map(|c| {
-                let plan = self.plan_for(&c);
+                let plan = self.plan_with(&c, &mut scratch);
                 (c, plan)
             })
             .collect()
@@ -712,6 +720,106 @@ impl ServingIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpdbscan_core::RpDbscanParams;
+
+    /// Every record whose cell `in_eps_window` accepts, by brute force
+    /// over the shards, in coordinate order.
+    fn brute_window(index: &ServingIndex, coord: &CellCoord) -> Vec<CellCoord> {
+        let mut out: Vec<CellCoord> = index
+            .shards
+            .iter()
+            .flat_map(|s| s.records.iter().flatten())
+            .filter(|r| index.spec.in_eps_window(coord, &r.coord))
+            .map(|r| r.coord.clone())
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Checks the plan windows of every occupied cell, of a unit-step
+    /// halo around every third one, and of coordinates off the occupied
+    /// extent, against [`brute_window`]; an unoccupied cell's label
+    /// candidates must be its window's core cells. Returns how many
+    /// unoccupied probes held a cell in their window.
+    fn check_windows(index: &ServingIndex, at: &str) -> usize {
+        let dim = index.dim();
+        let b = index.spec.window_reach();
+        let mut probes: Vec<CellCoord> = index
+            .shards
+            .iter()
+            .flat_map(|s| s.records.iter().flatten().map(|r| r.coord.clone()))
+            .collect();
+        probes.sort_unstable();
+        let occupied = probes.len();
+        for i in (0..occupied).step_by(3) {
+            let mut c = probes[i].coords().to_vec();
+            c[i % dim] += if i % 2 == 0 { 1 } else { -1 };
+            probes.push(CellCoord::new(c));
+        }
+        let first = probes[0].coords().to_vec();
+        for push in [b - 1, b + 4] {
+            probes.push(CellCoord::new(first.iter().map(|&x| x - push)));
+        }
+        let mut scratch = PlanScratch::default();
+        let mut nonempty = 0;
+        for probe in &probes {
+            index.window_candidates(probe, &mut scratch);
+            let got: Vec<CellCoord> = scratch
+                .window
+                .iter()
+                .map(|&r| index.record(r).coord.clone())
+                .collect();
+            let want = brute_window(index, probe);
+            assert_eq!(got, want, "{at}: probe {probe}");
+            let plan = index.plan_for(probe);
+            if plan.home.is_none() {
+                nonempty += usize::from(!want.is_empty());
+                let cores: Vec<CellRef> = scratch
+                    .window
+                    .iter()
+                    .copied()
+                    .filter(|&r| index.record(r).cluster.is_some())
+                    .collect();
+                assert_eq!(plan.sources, cores, "{at}: probe {probe}");
+            }
+        }
+        nonempty
+    }
+
+    #[test]
+    fn plan_windows_match_brute_force_before_and_after_a_patch() {
+        // 3-d windows take the column walk; sparse 5-d ones (about one
+        // point per cell) take the kd search.
+        for (dim, n, extent, walks) in [(3, 600, 6.0, true), (5, 300, 6.0, false)] {
+            // SplitMix64: uniform points in [0, extent)^dim.
+            let mut state = dim as u64;
+            let mut points = |k: usize| -> Vec<f64> {
+                (0..k * dim)
+                    .map(|_| {
+                        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                        let mut z = state;
+                        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                        (z ^ (z >> 31)) as f64 / u64::MAX as f64 * extent
+                    })
+                    .collect()
+            };
+            let params = RpDbscanParams::new(1.0, 4);
+            let mut s = StreamingRpDbscan::new(dim, params).unwrap();
+            let ids = s.insert_batch(&points(n)).unwrap();
+            assert_eq!(s.index().column_walks(), walks, "dim {dim}");
+            let base = Arc::new(ServingIndex::from_stream(&s, 4));
+            let mut nonempty = check_windows(&base, &format!("dim {dim} full build"));
+            // Insert and expire, then patch: removed cells vacate rows,
+            // new cells take them.
+            s.insert_batch(&points(40)).unwrap();
+            s.remove_batch(&ids[..60]).unwrap();
+            let patched = ServingIndex::patch_from_stream(&base, &s).unwrap();
+            assert!(patched.patch_summary().unwrap().removed_cells() > 0);
+            nonempty += check_windows(&patched, &format!("dim {dim} patched"));
+            assert!(nonempty > 0, "dim {dim}: every unoccupied window was empty");
+        }
+    }
 
     #[test]
     fn shard_hashes_are_stable_and_in_range() {

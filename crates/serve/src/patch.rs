@@ -32,7 +32,9 @@ use crate::index::{fnv64, shard_of_cell, shard_of_point};
 use crate::index::{CellRecord, ClusterStats, LabelShard, ServingIndex, Shard};
 use crate::ServeError;
 use rpdbscan_core::CellExport;
-use rpdbscan_grid::{for_each_in_box, CellCoord, CellDictionary, FxHashMap, FxHashSet, GridSpec};
+use rpdbscan_grid::{
+    for_each_in_box, CellCoord, CellDictionary, DictionaryIndex, FxHashMap, FxHashSet, GridSpec,
+};
 use rpdbscan_stream::StreamingRpDbscan;
 use std::sync::Arc;
 
@@ -417,7 +419,7 @@ impl ServingIndex {
     /// identical to a serial pass.
     pub(crate) fn apply_patch<D>(
         base: &ServingIndex,
-        dict: &CellDictionary,
+        dict_index: &Arc<DictionaryIndex>,
         generation: u64,
         cells: Vec<D>,
         rows: &LabelRows,
@@ -427,6 +429,7 @@ impl ServingIndex {
     {
         let k = base.shards.len();
         debug_assert_eq!(cells.len(), k);
+        let dict = dict_index.dict();
         let worker = |s: usize, dirty: D| -> ShardPatch {
             let mut dirty = dirty.into_iter().peekable();
             let mut record_deltas: Vec<(u32, i64, i64)> = Vec::new();
@@ -546,7 +549,7 @@ impl ServingIndex {
             removed_cells,
             invalid: None,
         };
-        let index = Self {
+        let mut index = Self {
             spec: base.spec.clone(),
             eps2: base.eps2,
             generation,
@@ -555,8 +558,34 @@ impl ServingIndex {
             clusters,
             num_points,
             patch: None,
+            dict_index: Arc::clone(dict_index),
+            refs: Vec::new(),
             generation_tail: generation,
         };
+        // Every cell of the generation's dictionary has a record. A cell
+        // the base also held keeps its row (`patch_shard`), so its ref is
+        // carried by a merge of the two coordinate-ordered layouts; only
+        // the cells new to this generation are looked up.
+        let (old, old_refs) = (&base.dict_index, &base.refs);
+        let mut refs = Vec::with_capacity(dict.num_cells());
+        let mut j = 0;
+        for pos in 0..dict.num_cells() as u32 {
+            let c = dict_index.coord_at(pos);
+            while j < old_refs.len() && old.coord_at(j as u32) < c {
+                j += 1;
+            }
+            let carried = old_refs
+                .get(j)
+                .filter(|_| old.coord_at(j as u32) == c)
+                .copied()
+                .flatten();
+            let coord = &dict.entry(dict_index.id_at(pos)).coord;
+            let r = carried.or_else(|| index.find_cell(coord));
+            debug_assert_eq!(r, index.find_cell(coord), "stale ref at {coord}");
+            refs.push(r);
+        }
+        debug_assert!(refs.iter().all(Option::is_some), "cell without a record");
+        index.refs = refs;
         (index, summary)
     }
 
@@ -656,7 +685,7 @@ impl ServingIndex {
 
         let cells = stream_cells(stream, &dirty, k);
         let (mut index, mut summary) =
-            Self::apply_patch(prev, stream.dictionary(), generation, cells, &rows);
+            Self::apply_patch(prev, stream.index(), generation, cells, &rows);
         summary.invalid = invalidated_supers(spec, &dirty);
         index.patch = Some(summary);
         Ok(index)

@@ -38,10 +38,12 @@ use rpdbscan_core::{CellExport, RpDbscanParams};
 use rpdbscan_engine::{epoch_stage_name, CostModel, Engine, EngineReport, StageError};
 use rpdbscan_geom::{dist2, Dataset};
 use rpdbscan_grid::{
-    for_each_in_box, CellCoord, CellDictionary, CellWindow, DecodeError, DictionaryIndex,
-    FxHashMap, FxHashSet, GridError, GridSpec, SubCellEntry,
+    CellCoord, CellDictionary, CellWindow, DecodeError, DictionaryIndex, FxHashMap, FxHashSet,
+    GatherScratch, GridError, GridSpec, SubCellEntry,
 };
 use rpdbscan_metrics::Clustering;
+use std::ops::Range;
+use std::sync::Arc;
 
 mod window;
 pub use window::SlidingWindow;
@@ -286,6 +288,10 @@ pub struct StreamingRpDbscan {
     /// Incrementally maintained two-level cell dictionary — always equal
     /// to a fresh build over the live points.
     dict: CellDictionary,
+    /// The index over `dict` that the latest repair epoch built from the
+    /// compacted dictionary: its dirty region and every window its repair
+    /// gathered were read from it, and serving shares it.
+    index: Arc<DictionaryIndex>,
     cells: FxHashMap<CellCoord, CellState>,
     /// Reverse adjacency for border labeling: non-core cell → its core
     /// predecessor cells, sorted by coordinate (the batch pipeline's
@@ -359,6 +365,7 @@ impl StreamingRpDbscan {
         }
         let spec = GridSpec::new(dim, params.eps, params.rho)?;
         let dict = CellDictionary::build_from_points(spec.clone(), std::iter::empty());
+        let index = Arc::new(DictionaryIndex::single(dict.clone()));
         Ok(Self {
             params,
             spec,
@@ -370,6 +377,7 @@ impl StreamingRpDbscan {
             free: Vec::new(),
             n_live: 0,
             dict,
+            index,
             cells: FxHashMap::default(),
             preds: FxHashMap::default(),
             cluster_of_cell: FxHashMap::default(),
@@ -792,6 +800,14 @@ impl StreamingRpDbscan {
         &self.dict
     }
 
+    /// The index over the current epoch's dictionary, the one the epoch's
+    /// repair gathered its ε-windows from ([`DictionaryIndex::window_at`]).
+    /// Serving builds its plans' windows from it instead of indexing the
+    /// same dictionary again.
+    pub fn index(&self) -> &Arc<DictionaryIndex> {
+        &self.index
+    }
+
     /// Exports the per-cell clustering state for the current epoch,
     /// sorted by cell coordinate. This is the handoff an external index
     /// builder (the serving layer) needs to resolve labels exactly as
@@ -837,15 +853,18 @@ impl StreamingRpDbscan {
         })
     }
 
-    /// Splits `items` into at most `2 × physical threads` chunks for stage
-    /// fan-out.
-    fn chunked<T: Clone>(&self, items: &[T]) -> Vec<Vec<T>> {
-        if items.is_empty() {
+    /// Splits `0..len` into at most `2 × physical threads` ranges for
+    /// stage fan-out.
+    fn ranges(&self, len: usize) -> Vec<Range<usize>> {
+        if len == 0 {
             return Vec::new();
         }
         let want = (self.engine.workers() * 2).max(1);
-        let chunk = items.len().div_ceil(want);
-        items.chunks(chunk).map(|c| c.to_vec()).collect()
+        let chunk = len.div_ceil(want);
+        (0..len)
+            .step_by(chunk)
+            .map(|lo| lo..(lo + chunk).min(len))
+            .collect()
     }
 
     /// Stage `epoch-{n}:ingest` — grid-locates a flat batch in parallel
@@ -853,72 +872,16 @@ impl StreamingRpDbscan {
     fn run_ingest(&self, flat: &[f64]) -> Result<Vec<CellCoord>, StageError> {
         let dim = self.dim;
         let n = flat.len() / dim;
-        let ranges: Vec<(usize, usize)> = {
-            let idx: Vec<usize> = (0..n).collect();
-            self.chunked(&idx)
-                .into_iter()
-                .map(|c| (c[0], c[c.len() - 1] + 1))
-                .collect()
-        };
         let spec = &self.spec;
         let name = epoch_stage_name(self.epoch, "ingest");
         let result = self
             .engine
-            .run_stage(&name, ranges, |_, (lo, hi): (usize, usize)| {
-                Ok((lo..hi)
+            .run_stage(&name, self.ranges(n), |_, range: Range<usize>| {
+                Ok(range
                     .map(|i| spec.cell_of(&flat[i * dim..(i + 1) * dim]))
                     .collect::<Vec<CellCoord>>())
             })?;
         Ok(result.outputs.into_iter().flatten().collect())
-    }
-
-    /// The dirty region of a batch: every occupied cell within ε
-    /// (box-to-box) of a changed cell, paired with the changed cells
-    /// within ε of it (the sources of its density deltas). Uses lattice
-    /// box enumeration when the `(2B+1)^d` window is smaller than a scan
-    /// over all occupied cells, the scan otherwise; both apply the same
-    /// [`GridSpec::in_eps_window`] test, so the result is identical. Its
-    /// slack keeps boundary cells: repairing an unaffected cell is a
-    /// no-op, missing an affected one is a correctness bug.
-    fn dirty_region(&self, changed: &[CellCoord]) -> Vec<(CellCoord, Vec<CellCoord>)> {
-        let mut dirty: FxHashMap<CellCoord, Vec<CellCoord>> = FxHashMap::default();
-        let mut pair = |changed: &CellCoord, occupied: CellCoord| {
-            dirty.entry(occupied).or_default().push(changed.clone());
-        };
-        let b = self.spec.window_reach();
-        let window = (2 * b + 1).checked_pow(self.dim as u32);
-        let box_cost = window.and_then(|w| w.checked_mul(changed.len() as i64));
-        let scan_cost = (self.cells.len() * changed.len()) as i64;
-        match box_cost {
-            Some(cost) if cost <= scan_cost => {
-                for c in changed {
-                    let lo: Vec<i64> = c.coords().iter().map(|&x| x - b).collect();
-                    let hi: Vec<i64> = c.coords().iter().map(|&x| x + b).collect();
-                    for_each_in_box(&lo, &hi, |p| {
-                        let cand = CellCoord::new(p.iter().copied());
-                        if self.cells.contains_key(&cand) && self.spec.in_eps_window(c, &cand) {
-                            pair(c, cand);
-                        }
-                    });
-                }
-            }
-            _ => {
-                // lint:allow(unordered-iter): pairs accumulate into dirty, whose values and keys are both sorted before use below
-                for cand in self.cells.keys() {
-                    for c in changed {
-                        if self.spec.in_eps_window(c, cand) {
-                            pair(c, cand.clone());
-                        }
-                    }
-                }
-            }
-        }
-        for sources in dirty.values_mut() {
-            sources.sort_unstable();
-        }
-        let mut cells: Vec<(CellCoord, Vec<CellCoord>)> = dirty.into_iter().collect();
-        cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        cells
     }
 
     /// Repairs the dirty region of one epoch: recompute core status and
@@ -946,25 +909,24 @@ impl StreamingRpDbscan {
         new_slots: FxHashSet<u32>,
     ) -> Result<(), StreamError> {
         self.stats.last_changed_cells = changed.len();
-        let dirty = self.dirty_region(&changed);
-        self.stats.last_dirty_cells = dirty.len();
-        self.stats.total_repaired_cells += dirty.len() as u64;
-        let changed_set: FxHashSet<CellCoord> = changed.iter().cloned().collect();
-
         // The dictionary must be compact (no empty cells) before it backs
         // region queries: empty entries would still contribute vertices.
         self.dict.compact();
-        let index = DictionaryIndex::single(self.dict.clone());
+        let index = Arc::new(DictionaryIndex::single(self.dict.clone()));
+        let dirty = dirty_region(&index, &changed);
+        self.stats.last_dirty_cells = dirty.len();
+        self.stats.total_repaired_cells += dirty.len() as u64;
 
-        // One sub-cell diff per changed cell: cached densities then move by
-        // `contribution_delta` over these few entries instead of two full
-        // sub-list passes per (point, changed cell) pair.
-        let sub_diffs: FxHashMap<CellCoord, SubDiff> = changed
+        // One sub-cell diff per changed cell, parallel to `changed`:
+        // cached densities then move by `contribution_delta` over these
+        // few entries instead of two full sub-list passes per (point,
+        // changed cell) pair.
+        let sub_diffs: Vec<SubDiff> = changed
             .iter()
             .map(|y| {
                 let old = old_subs.get(y).map_or(&[] as &[SubCellEntry], |v| v);
                 let new = self.dict.get(y).map_or(&[] as &[SubCellEntry], |e| &e.subs);
-                (y.clone(), sub_diff(old, new))
+                sub_diff(old, new)
             })
             .collect();
 
@@ -976,7 +938,7 @@ impl StreamingRpDbscan {
             let spec = &self.spec;
             let dim = self.dim;
             let min_pts = self.params.min_pts as u64;
-            let changed_set = &changed_set;
+            let (index, dirty, changed) = (&*index, &dirty, &changed);
             let sub_diffs = &sub_diffs;
             let new_slots = &new_slots;
             let name = epoch_stage_name(self.epoch, "repair");
@@ -984,292 +946,292 @@ impl StreamingRpDbscan {
             let no_cells: &[CellCoord] = &[];
             let no_subs: &[SubCellEntry] = &[];
             self.engine
-                .run_stage(
-                    &name,
-                    self.chunked(&dirty),
-                    |_, chunk: Vec<(CellCoord, Vec<CellCoord>)>| {
-                        let point_of =
-                            |slot: u32| &coords[slot as usize * dim..(slot as usize + 1) * dim];
-                        let eps2 = spec.eps() * spec.eps();
-                        // Does sub-cell `s` of cell `y` lie within ε of
-                        // some point in `ids`? Same per-(cell, point)
-                        // bounds fast paths as the region query, so
-                        // qualification decisions stay identical.
-                        let sub_hits =
-                            |y: &CellCoord,
-                             s: rpdbscan_grid::SubCellIdx,
-                             ids: &[u32],
-                             scratch: &mut [f64]| {
-                                ids.iter().any(|&p| {
-                                    let q = point_of(p);
-                                    let (lo, hi) = spec.cell_dist2_bounds(y, q);
-                                    if lo > eps2 {
-                                        return false;
-                                    }
-                                    if hi <= eps2 {
-                                        return true;
-                                    }
-                                    spec.sub_center_into(y, s, scratch);
-                                    dist2(q, scratch) <= eps2
-                                })
-                            };
-                        // Ground-truth edge test: some point in `ids`
-                        // reports a current sub-cell of `y`.
-                        let edge_rescan = |y: &CellCoord, ids: &[u32], scratch: &mut [f64]| {
-                            let subs = index.dict().get(y).map_or(no_subs, |e| &e.subs);
-                            ids.iter().any(|&p| {
-                                cell_contribution(spec, point_of(p), y, subs, scratch) > 0
-                            })
-                        };
-                        let mut scratch = vec![0.0; dim];
-                        let mut window = CellWindow::default();
-                        let mut fresh_rows: Vec<f64> = Vec::new();
-                        let mut srcs: Vec<&SubDiff> = Vec::new();
-                        let mut dlt_buf: Vec<i64> = Vec::new();
-                        let mut out: Vec<(CellCoord, Repair)> = Vec::with_capacity(chunk.len());
-                        for (c, sources) in chunk {
-                            let pts = cells.get(&c).map_or(empty, |s| s.points.as_slice());
-                            srcs.clear();
-                            srcs.extend(sources.iter().map(|y| &sub_diffs[y]));
-                            if changed_set.contains(&c) {
-                                // The cell's own point set changed. New
-                                // points have no cached density and are
-                                // answered from the cell's ε-window;
-                                // surviving points get density deltas.
-                                // Edges come from three sources: the
-                                // window successors of new and
-                                // newly-promoted core points, the previous
-                                // edge list (a surviving core's
-                                // qualification against an unchanged cell
-                                // is static), and the sub-cell diffs of
-                                // changed cells.
-                                let (old_core_list, state_nbrs) =
-                                    cells.get(&c).map_or((empty, no_cells), |s| {
-                                        (s.core_points.as_slice(), s.neighbors.as_slice())
-                                    });
-                                let old_core_set: FxHashSet<u32> =
-                                    old_core_list.iter().copied().collect();
-                                // A cell the batch emptied is absent from
-                                // the dictionary, and has no point to
-                                // read the window for.
-                                if let Some(id) = index.dict().index_of(&c) {
-                                    window.gather(&index, id);
-                                }
-                                let mut densities: Vec<u64> = Vec::with_capacity(pts.len());
-                                for &p in pts {
-                                    let q = point_of(p);
-                                    if new_slots.contains(&p) {
-                                        densities.push(window.density(&index, q));
-                                    } else {
-                                        let mut d = density[p as usize] as i64;
-                                        for (y, diff) in sources.iter().zip(srcs.iter()) {
-                                            d += contribution_delta(spec, q, y, diff, &mut scratch);
-                                        }
-                                        densities.push(d as u64);
-                                    }
-                                }
-                                let core_points: Vec<u32> = pts
-                                    .iter()
-                                    .zip(densities.iter())
-                                    .filter(|(_, &d)| d >= min_pts)
-                                    .map(|(&p, _)| p)
-                                    .collect();
-                                // Core points with no cached edges — new
-                                // ones, and pre-existing points promoted
-                                // this epoch — take their successors from
-                                // the window.
-                                fresh_rows.clear();
-                                for &p in &core_points {
-                                    if new_slots.contains(&p) || !old_core_set.contains(&p) {
-                                        fresh_rows.extend_from_slice(point_of(p));
-                                    }
-                                }
-                                let mut new_neighbor_idx: Vec<u32> = Vec::new();
-                                window.successors_into(&index, &fresh_rows, &mut new_neighbor_idx);
-                                let survivors: Vec<u32> = core_points
-                                    .iter()
-                                    .copied()
-                                    .filter(|p| old_core_set.contains(p))
-                                    .collect();
-                                let core_now: FxHashSet<u32> =
-                                    core_points.iter().copied().collect();
-                                let lost_any = old_core_list.iter().any(|p| !core_now.contains(p));
-                                let mut neighbors: Vec<CellCoord> = new_neighbor_idx
-                                    .into_iter()
-                                    .map(|i| index.dict().entry(i).coord.clone())
-                                    .collect();
-                                neighbors.sort_unstable();
-                                // Previous edges: carried by surviving cores
-                                // unless the target changed (its vacated
-                                // sub-cells decide) or this cell lost cores
-                                // (survivors must re-qualify).
-                                for t in state_nbrs {
-                                    if survivors.is_empty() || neighbors.binary_search(t).is_ok() {
-                                        continue;
-                                    }
-                                    let keep =
-                                        if changed_set.contains(t) {
-                                            if lost_any {
-                                                edge_rescan(t, &survivors, &mut scratch)
-                                            } else {
-                                                let diff = &sub_diffs[t];
-                                                !diff.removed.iter().any(|&s| {
-                                                    sub_hits(t, s, &survivors, &mut scratch)
-                                                }) || edge_rescan(t, &survivors, &mut scratch)
-                                            }
-                                        } else if lost_any {
-                                            edge_rescan(t, &survivors, &mut scratch)
-                                        } else {
-                                            true
-                                        };
-                                    if keep {
-                                        let i = neighbors.binary_search(t).unwrap_err();
-                                        neighbors.insert(i, t.clone());
-                                    }
-                                }
-                                // Edges toward changed cells can also appear
-                                // when a newly occupied sub-cell lands
-                                // within ε of a surviving core.
-                                if !survivors.is_empty() {
-                                    for y in &sources {
-                                        if *y == c
-                                            || neighbors.binary_search(y).is_ok()
-                                            || state_nbrs.binary_search(y).is_ok()
-                                        {
-                                            continue;
-                                        }
-                                        let diff = &sub_diffs[y];
-                                        if diff
-                                            .added
-                                            .iter()
-                                            .any(|&s| sub_hits(y, s, &survivors, &mut scratch))
-                                        {
-                                            let i = neighbors.binary_search(y).unwrap_err();
-                                            neighbors.insert(i, y.clone());
-                                        }
-                                    }
-                                }
-                                out.push((
-                                    c,
-                                    Repair::Full(CellRepair {
-                                        is_core: !core_points.is_empty(),
-                                        core_points,
-                                        neighbors,
-                                        densities,
-                                    }),
-                                ));
-                                continue;
+                .run_stage(&name, self.ranges(dirty.len()), |_, range: Range<usize>| {
+                    let point_of =
+                        |slot: u32| &coords[slot as usize * dim..(slot as usize + 1) * dim];
+                    let eps2 = spec.eps() * spec.eps();
+                    // Does sub-cell `s` of cell `y` lie within ε of
+                    // some point in `ids`? Same per-(cell, point)
+                    // bounds fast paths as the region query, so
+                    // qualification decisions stay identical.
+                    let sub_hits = |y: &CellCoord,
+                                    s: rpdbscan_grid::SubCellIdx,
+                                    ids: &[u32],
+                                    scratch: &mut [f64]| {
+                        ids.iter().any(|&p| {
+                            let q = point_of(p);
+                            let (lo, hi) = spec.cell_dist2_bounds(y, q);
+                            if lo > eps2 {
+                                return false;
                             }
-                            // Delta repair: points unchanged; densities move
-                            // by the changed neighbours' contribution diffs.
-                            let state = &cells[&c];
-                            dlt_buf.clear();
-                            let mut density_changed = false;
+                            if hi <= eps2 {
+                                return true;
+                            }
+                            spec.sub_center_into(y, s, scratch);
+                            dist2(q, scratch) <= eps2
+                        })
+                    };
+                    // Ground-truth edge test: some point in `ids`
+                    // reports a current sub-cell of `y`.
+                    let edge_rescan = |y: &CellCoord, ids: &[u32], scratch: &mut [f64]| {
+                        let subs = index.dict().get(y).map_or(no_subs, |e| &e.subs);
+                        ids.iter()
+                            .any(|&p| cell_contribution(spec, point_of(p), y, subs, scratch) > 0)
+                    };
+                    let mut scratch = vec![0.0; dim];
+                    let mut window = CellWindow::default();
+                    let mut fresh_rows: Vec<f64> = Vec::new();
+                    let mut srcs: Vec<(&CellCoord, &SubDiff)> = Vec::new();
+                    let mut dlt_buf: Vec<i64> = Vec::new();
+                    let mut out: Vec<(usize, Repair)> = Vec::with_capacity(range.len());
+                    for k in range {
+                        let cell = dirty.cells[k];
+                        let c = dirty.coord(k, index, changed);
+                        let pts = cells.get(c).map_or(empty, |s| s.points.as_slice());
+                        srcs.clear();
+                        srcs.extend(
+                            dirty
+                                .sources(k)
+                                .iter()
+                                .map(|&i| (&changed[i as usize], &sub_diffs[i as usize])),
+                        );
+                        if cell.changed() {
+                            // The cell's own point set changed. New
+                            // points have no cached density and are
+                            // answered from the cell's ε-window;
+                            // surviving points get density deltas.
+                            // Edges come from three sources: the
+                            // window successors of new and
+                            // newly-promoted core points, the previous
+                            // edge list (a surviving core's
+                            // qualification against an unchanged cell
+                            // is static), and the sub-cell diffs of
+                            // changed cells.
+                            let (old_core_list, state_nbrs) =
+                                cells.get(c).map_or((empty, no_cells), |s| {
+                                    (s.core_points.as_slice(), s.neighbors.as_slice())
+                                });
+                            let old_core_set: FxHashSet<u32> =
+                                old_core_list.iter().copied().collect();
+                            // A cell the batch emptied is absent from
+                            // the dictionary, and has no point to
+                            // read the window for.
+                            if let DirtyCell::Occupied { pos, .. } = cell {
+                                window.gather(index, index.id_at(pos));
+                            }
+                            let mut densities: Vec<u64> = Vec::with_capacity(pts.len());
                             for &p in pts {
                                 let q = point_of(p);
-                                let mut dlt = 0i64;
-                                for (y, diff) in sources.iter().zip(srcs.iter()) {
-                                    dlt += contribution_delta(spec, q, y, diff, &mut scratch);
+                                if new_slots.contains(&p) {
+                                    densities.push(window.density(index, q));
+                                } else {
+                                    let mut d = density[p as usize] as i64;
+                                    for &(y, diff) in &srcs {
+                                        d += contribution_delta(spec, q, y, diff, &mut scratch);
+                                    }
+                                    densities.push(d as u64);
                                 }
-                                if dlt != 0 {
-                                    density_changed = true;
-                                }
-                                dlt_buf.push(dlt);
                             }
-                            if density_changed {
-                                // The core set changes iff a density crossed
-                                // the minPts threshold; then the cell's
-                                // edges are a union over *core* points'
-                                // queries, so edges toward unchanged cells
-                                // may flip too — recompute in full.
-                                let crossed = pts.iter().zip(dlt_buf.iter()).any(|(&p, &dlt)| {
-                                    let d = density[p as usize];
-                                    (d >= min_pts) != ((d as i64 + dlt) as u64 >= min_pts)
-                                });
-                                if crossed {
-                                    let rep = recompute_cell(
-                                        &index,
-                                        &mut window,
-                                        &c,
-                                        pts,
-                                        point_of,
-                                        min_pts as usize,
-                                    );
-                                    out.push((c, Repair::Full(rep)));
+                            let core_points: Vec<u32> = pts
+                                .iter()
+                                .zip(densities.iter())
+                                .filter(|(_, &d)| d >= min_pts)
+                                .map(|(&p, _)| p)
+                                .collect();
+                            // Core points with no cached edges — new
+                            // ones, and pre-existing points promoted
+                            // this epoch — take their successors from
+                            // the window.
+                            fresh_rows.clear();
+                            for &p in &core_points {
+                                if new_slots.contains(&p) || !old_core_set.contains(&p) {
+                                    fresh_rows.extend_from_slice(point_of(p));
+                                }
+                            }
+                            let mut new_neighbor_idx: Vec<u32> = Vec::new();
+                            window.successors_into(index, &fresh_rows, &mut new_neighbor_idx);
+                            let survivors: Vec<u32> = core_points
+                                .iter()
+                                .copied()
+                                .filter(|p| old_core_set.contains(p))
+                                .collect();
+                            let core_now: FxHashSet<u32> = core_points.iter().copied().collect();
+                            let lost_any = old_core_list.iter().any(|p| !core_now.contains(p));
+                            let mut neighbors: Vec<CellCoord> = new_neighbor_idx
+                                .into_iter()
+                                .map(|i| index.dict().entry(i).coord.clone())
+                                .collect();
+                            neighbors.sort_unstable();
+                            // Previous edges: carried by surviving cores
+                            // unless the target changed (its vacated
+                            // sub-cells decide) or this cell lost cores
+                            // (survivors must re-qualify).
+                            for t in state_nbrs {
+                                if survivors.is_empty() || neighbors.binary_search(t).is_ok() {
                                     continue;
                                 }
-                            }
-                            // Core set unchanged: edges toward unchanged
-                            // cells are unchanged; an edge toward a changed
-                            // cell can only appear through a newly occupied
-                            // sub-cell or break through a vacated one.
-                            let cores = state.core_points.as_slice();
-                            let mut edge_ops: Vec<(bool, &CellCoord)> = Vec::new();
-                            for (y, diff) in sources.iter().zip(srcs.iter()) {
-                                match state.neighbors.binary_search(y) {
-                                    Ok(_) => {
-                                        if !diff.removed.is_empty()
-                                            && diff
-                                                .removed
-                                                .iter()
-                                                .any(|&s| sub_hits(y, s, cores, &mut scratch))
-                                            && !edge_rescan(y, cores, &mut scratch)
-                                        {
-                                            edge_ops.push((false, y));
-                                        }
+                                let keep = if let Ok(ti) = changed.binary_search(t) {
+                                    if lost_any {
+                                        edge_rescan(t, &survivors, &mut scratch)
+                                    } else {
+                                        let diff = &sub_diffs[ti];
+                                        !diff
+                                            .removed
+                                            .iter()
+                                            .any(|&s| sub_hits(t, s, &survivors, &mut scratch))
+                                            || edge_rescan(t, &survivors, &mut scratch)
                                     }
-                                    Err(_) => {
-                                        if !cores.is_empty()
-                                            && !diff.added.is_empty()
-                                            && diff
-                                                .added
-                                                .iter()
-                                                .any(|&s| sub_hits(y, s, cores, &mut scratch))
-                                        {
-                                            edge_ops.push((true, y));
-                                        }
-                                    }
+                                } else if lost_any {
+                                    edge_rescan(t, &survivors, &mut scratch)
+                                } else {
+                                    true
+                                };
+                                if keep {
+                                    let i = neighbors.binary_search(t).unwrap_err();
+                                    neighbors.insert(i, t.clone());
                                 }
                             }
-                            if edge_ops.is_empty() {
-                                if density_changed {
-                                    let densities: Vec<u64> = pts
+                            // Edges toward changed cells can also appear
+                            // when a newly occupied sub-cell lands
+                            // within ε of a surviving core.
+                            if !survivors.is_empty() {
+                                for &(y, diff) in &srcs {
+                                    if y == c
+                                        || neighbors.binary_search(y).is_ok()
+                                        || state_nbrs.binary_search(y).is_ok()
+                                    {
+                                        continue;
+                                    }
+                                    if diff
+                                        .added
                                         .iter()
-                                        .zip(dlt_buf.iter())
-                                        .map(|(&p, &dlt)| (density[p as usize] as i64 + dlt) as u64)
-                                        .collect();
-                                    out.push((c, Repair::DensityOnly(densities)));
-                                }
-                                continue;
-                            }
-                            let mut neighbors = state.neighbors.clone();
-                            for (insert, y) in edge_ops {
-                                match neighbors.binary_search(y) {
-                                    Err(i) if insert => neighbors.insert(i, y.clone()),
-                                    Ok(i) if !insert => {
-                                        neighbors.remove(i);
+                                        .any(|&s| sub_hits(y, s, &survivors, &mut scratch))
+                                    {
+                                        let i = neighbors.binary_search(y).unwrap_err();
+                                        neighbors.insert(i, y.clone());
                                     }
-                                    _ => {}
                                 }
                             }
-                            let densities: Vec<u64> = pts
-                                .iter()
-                                .zip(dlt_buf.iter())
-                                .map(|(&p, &dlt)| (density[p as usize] as i64 + dlt) as u64)
-                                .collect();
                             out.push((
-                                c,
+                                k,
                                 Repair::Full(CellRepair {
-                                    is_core: !cores.is_empty(),
-                                    core_points: cores.to_vec(),
+                                    is_core: !core_points.is_empty(),
+                                    core_points,
                                     neighbors,
                                     densities,
                                 }),
                             ));
+                            continue;
                         }
-                        Ok(out)
-                    },
-                )?
+                        // Delta repair: points unchanged; densities move
+                        // by the changed neighbours' contribution diffs.
+                        let state = &cells[c];
+                        dlt_buf.clear();
+                        let mut density_changed = false;
+                        for &p in pts {
+                            let q = point_of(p);
+                            let mut dlt = 0i64;
+                            for &(y, diff) in &srcs {
+                                dlt += contribution_delta(spec, q, y, diff, &mut scratch);
+                            }
+                            if dlt != 0 {
+                                density_changed = true;
+                            }
+                            dlt_buf.push(dlt);
+                        }
+                        if density_changed {
+                            // The core set changes iff a density crossed
+                            // the minPts threshold; then the cell's
+                            // edges are a union over *core* points'
+                            // queries, so edges toward unchanged cells
+                            // may flip too — recompute in full.
+                            let crossed = pts.iter().zip(dlt_buf.iter()).any(|(&p, &dlt)| {
+                                let d = density[p as usize];
+                                (d >= min_pts) != ((d as i64 + dlt) as u64 >= min_pts)
+                            });
+                            if crossed {
+                                let rep = recompute_cell(
+                                    index,
+                                    &mut window,
+                                    c,
+                                    pts,
+                                    point_of,
+                                    min_pts as usize,
+                                );
+                                out.push((k, Repair::Full(rep)));
+                                continue;
+                            }
+                        }
+                        // Core set unchanged: edges toward unchanged
+                        // cells are unchanged; an edge toward a changed
+                        // cell can only appear through a newly occupied
+                        // sub-cell or break through a vacated one.
+                        let cores = state.core_points.as_slice();
+                        let mut edge_ops: Vec<(bool, &CellCoord)> = Vec::new();
+                        for &(y, diff) in &srcs {
+                            match state.neighbors.binary_search(y) {
+                                Ok(_) => {
+                                    if !diff.removed.is_empty()
+                                        && diff
+                                            .removed
+                                            .iter()
+                                            .any(|&s| sub_hits(y, s, cores, &mut scratch))
+                                        && !edge_rescan(y, cores, &mut scratch)
+                                    {
+                                        edge_ops.push((false, y));
+                                    }
+                                }
+                                Err(_) => {
+                                    if !cores.is_empty()
+                                        && !diff.added.is_empty()
+                                        && diff
+                                            .added
+                                            .iter()
+                                            .any(|&s| sub_hits(y, s, cores, &mut scratch))
+                                    {
+                                        edge_ops.push((true, y));
+                                    }
+                                }
+                            }
+                        }
+                        if edge_ops.is_empty() {
+                            if density_changed {
+                                let densities: Vec<u64> = pts
+                                    .iter()
+                                    .zip(dlt_buf.iter())
+                                    .map(|(&p, &dlt)| (density[p as usize] as i64 + dlt) as u64)
+                                    .collect();
+                                out.push((k, Repair::DensityOnly(densities)));
+                            }
+                            continue;
+                        }
+                        let mut neighbors = state.neighbors.clone();
+                        for (insert, y) in edge_ops {
+                            match neighbors.binary_search(y) {
+                                Err(i) if insert => neighbors.insert(i, y.clone()),
+                                Ok(i) if !insert => {
+                                    neighbors.remove(i);
+                                }
+                                _ => {}
+                            }
+                        }
+                        let densities: Vec<u64> = pts
+                            .iter()
+                            .zip(dlt_buf.iter())
+                            .map(|(&p, &dlt)| (density[p as usize] as i64 + dlt) as u64)
+                            .collect();
+                        out.push((
+                            k,
+                            Repair::Full(CellRepair {
+                                is_core: !cores.is_empty(),
+                                core_points: cores.to_vec(),
+                                neighbors,
+                                densities,
+                            }),
+                        ));
+                    }
+                    Ok(out)
+                })?
                 .outputs
         };
 
@@ -1293,13 +1255,14 @@ impl StreamingRpDbscan {
         // this epoch (a core cell exports an empty predecessor list), so
         // the decision is deferred until every repair has been applied.
         let mut pred_targets: FxHashSet<CellCoord> = FxHashSet::default();
-        for (coord, rep) in repairs.into_iter().flatten() {
+        for (k, rep) in repairs.into_iter().flatten() {
+            let coord = dirty.coord(k, &index, &changed);
             let rep = match rep {
                 Repair::Full(r) => r,
                 Repair::DensityOnly(densities) => {
                     // Core set and edges held: only the cached densities
                     // moved, so neither the graph nor any label can change.
-                    if let Some(state) = self.cells.get(&coord) {
+                    if let Some(state) = self.cells.get(coord) {
                         for (&p, &d) in state.points.iter().zip(densities.iter()) {
                             self.density[p as usize] = d;
                         }
@@ -1354,8 +1317,8 @@ impl StreamingRpDbscan {
                         // Edge coord → old_targets[i] disappeared.
                         let t = &old_targets[i];
                         if let Some(v) = self.preds.get_mut(t) {
-                            if let Ok(k) = v.binary_search(&coord) {
-                                v.remove(k);
+                            if let Ok(at) = v.binary_search(coord) {
+                                v.remove(at);
                             }
                             if v.is_empty() {
                                 self.preds.remove(t);
@@ -1369,8 +1332,8 @@ impl StreamingRpDbscan {
                         // Edge coord → new_targets[j] appeared.
                         let t = &new_targets[j];
                         let v = self.preds.entry(t.clone()).or_default();
-                        if let Err(k) = v.binary_search(&coord) {
-                            v.insert(k, coord.clone());
+                        if let Err(at) = v.binary_search(coord) {
+                            v.insert(at, coord.clone());
                         }
                         label_dirty.insert(t.clone());
                         pred_targets.insert(t.clone());
@@ -1392,15 +1355,12 @@ impl StreamingRpDbscan {
         // Drop emptied cells (only changed cells can lose their last
         // point). Every cell within ε of one was dirty, so no surviving
         // neighbor or predecessor list references them.
-        let emptied: Vec<CellCoord> = changed_set
-            .iter()
-            .filter(|c| self.cells.get(*c).is_some_and(|s| s.points.is_empty()))
-            .cloned()
-            .collect();
-        for c in &emptied {
-            self.cells.remove(c);
-            self.preds.remove(c);
-            label_dirty.remove(c);
+        for c in &changed {
+            if self.cells.get(c).is_some_and(|s| s.points.is_empty()) {
+                self.cells.remove(c);
+                self.preds.remove(c);
+                label_dirty.remove(c);
+            }
         }
 
         // An edge flip only shows up in the *target's* exported record
@@ -1408,7 +1368,7 @@ impl StreamingRpDbscan {
         // empty predecessor list, and their cluster-id movements are
         // stamped by `rebuild_components`). Core targets whose core set
         // itself moved are already in `serve_dirty`; emptied targets are
-        // covered by `changed_set`.
+        // covered by `changed`.
         // lint:allow(unordered-iter): targets land in a set, so visit order is immaterial
         for t in pred_targets {
             if self.cells.get(&t).is_some_and(|s| !s.is_core) {
@@ -1418,13 +1378,13 @@ impl StreamingRpDbscan {
 
         // Stamp the serve-visible delta of this epoch: every cell whose
         // core set or predecessor list actually moved (`serve_dirty`)
-        // plus every cell whose dictionary entry moved (`changed_set`,
-        // which also covers the cells just emptied). Cells the repair
+        // plus every cell whose dictionary entry moved (`changed`, which
+        // also covers the cells just emptied). Cells the repair
         // merely re-checked stay unstamped — their exported record is
         // unchanged. Cluster-id movements are stamped separately by
         // `rebuild_components`.
         // lint:allow(unordered-iter): epoch stamps land in a map keyed by the same coords, so insertion order is immaterial
-        for c in serve_dirty.iter().chain(changed_set.iter()) {
+        for c in serve_dirty.iter().chain(changed.iter()) {
             self.touched_epoch.insert(c.clone(), self.epoch);
         }
 
@@ -1448,31 +1408,36 @@ impl StreamingRpDbscan {
             let dim = self.dim;
             let eps = self.params.eps;
             let name = epoch_stage_name(self.epoch, "relabel");
+            let targets = &targets;
             self.engine
-                .run_stage(&name, self.chunked(&targets), |_, chunk: Vec<CellCoord>| {
-                    let mut out: Vec<(u32, Option<CellCoord>)> = Vec::new();
-                    let empty: Vec<CellCoord> = Vec::new();
-                    for c in &chunk {
-                        let state = &cells[c];
-                        let pred_cells: Vec<(&CellCoord, &[u32])> = preds
-                            .get(c)
-                            .unwrap_or(&empty)
-                            .iter()
-                            .map(|p| (p, cells[p].core_points.as_slice()))
-                            .collect();
-                        for &slot in &state.points {
-                            let q = &coords[slot as usize * dim..(slot as usize + 1) * dim];
-                            let win = assign_border_point(
-                                q,
-                                &pred_cells,
-                                |s| &coords[s as usize * dim..(s as usize + 1) * dim],
-                                eps,
-                            );
-                            out.push((slot, win.map(|k| pred_cells[k].0.clone())));
+                .run_stage(
+                    &name,
+                    self.ranges(targets.len()),
+                    |_, range: Range<usize>| {
+                        let mut out: Vec<(u32, Option<CellCoord>)> = Vec::new();
+                        let empty: Vec<CellCoord> = Vec::new();
+                        for c in &targets[range] {
+                            let state = &cells[c];
+                            let pred_cells: Vec<(&CellCoord, &[u32])> = preds
+                                .get(c)
+                                .unwrap_or(&empty)
+                                .iter()
+                                .map(|p| (p, cells[p].core_points.as_slice()))
+                                .collect();
+                            for &slot in &state.points {
+                                let q = &coords[slot as usize * dim..(slot as usize + 1) * dim];
+                                let win = assign_border_point(
+                                    q,
+                                    &pred_cells,
+                                    |s| &coords[s as usize * dim..(s as usize + 1) * dim],
+                                    eps,
+                                );
+                                out.push((slot, win.map(|k| pred_cells[k].0.clone())));
+                            }
                         }
-                    }
-                    Ok(out)
-                })?
+                        Ok(out)
+                    },
+                )?
                 .outputs
         };
         for (slot, winner) in assignments.into_iter().flatten() {
@@ -1518,6 +1483,7 @@ impl StreamingRpDbscan {
             self.recent_label_moves.pop_front();
         }
 
+        self.index = index;
         self.stats.live_points = self.n_live;
         self.stats.num_cells = self.cells.len();
         self.stats.num_clusters = self.num_clusters;
@@ -1636,6 +1602,169 @@ impl StreamingRpDbscan {
     }
 }
 
+/// The dirty region of one repair epoch: every cell within ε (box to
+/// box, [`GridSpec::in_eps_window`]) of a changed cell that is occupied
+/// or was just emptied, in coordinate order, each with its *sources*,
+/// the changed cells within ε of it. The window test's slack keeps
+/// boundary cells: repairing an unaffected cell is a no-op, missing an
+/// affected one is a correctness bug.
+struct DirtyRegion {
+    cells: Vec<DirtyCell>,
+    /// CSR offsets into `sources` (`len = cells + 1`).
+    starts: Vec<u32>,
+    /// Per cell, indices into the epoch's `changed` list, ascending,
+    /// which is coordinate order.
+    sources: Vec<u32>,
+}
+
+/// One cell of a [`DirtyRegion`].
+#[derive(Debug, Clone, Copy)]
+enum DirtyCell {
+    /// An occupied cell: its layout position in the epoch index, and
+    /// whether the batch changed it.
+    Occupied { pos: u32, changed: bool },
+    /// A changed cell the batch emptied, absent from the compacted
+    /// index: its index in `changed`.
+    Emptied(u32),
+}
+
+impl DirtyCell {
+    /// Whether the batch changed the cell's own points.
+    fn changed(self) -> bool {
+        match self {
+            DirtyCell::Occupied { changed, .. } => changed,
+            DirtyCell::Emptied(_) => true,
+        }
+    }
+}
+
+impl DirtyRegion {
+    /// Number of dirty cells.
+    fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Dirty cell `k`'s coordinate, read from the epoch's `index` and
+    /// `changed` list the region was built from.
+    fn coord<'a>(
+        &self,
+        k: usize,
+        index: &'a DictionaryIndex,
+        changed: &'a [CellCoord],
+    ) -> &'a CellCoord {
+        match self.cells[k] {
+            DirtyCell::Occupied { pos, .. } => &index.dict().entry(index.id_at(pos)).coord,
+            DirtyCell::Emptied(i) => &changed[i as usize],
+        }
+    }
+
+    /// Dirty cell `k`'s sources, as indices into `changed`.
+    fn sources(&self, k: usize) -> &[u32] {
+        &self.sources[self.starts[k] as usize..self.starts[k + 1] as usize]
+    }
+
+    /// Appends `changed[e]`, a cell the batch emptied, with its sources:
+    /// the changed cells its window test accepts, looked for among those
+    /// whose first coordinate is within the window's reach (`changed` is
+    /// coordinate-sorted, so they are one run).
+    fn push_emptied(&mut self, spec: &GridSpec, changed: &[CellCoord], e: u32) {
+        let c = &changed[e as usize];
+        let (x, b) = (c.coords()[0], spec.window_reach());
+        let lo = changed.partition_point(|y| y.coords()[0] < x.saturating_sub(b));
+        let hi = changed.partition_point(|y| y.coords()[0] <= x.saturating_add(b));
+        self.cells.push(DirtyCell::Emptied(e));
+        self.sources.extend(
+            (lo..hi)
+                .filter(|&y| spec.in_eps_window(c, &changed[y]))
+                .map(|y| y as u32),
+        );
+        self.starts.push(self.sources.len() as u32);
+    }
+}
+
+/// The [`DirtyRegion`] of an epoch whose batch changed the cells
+/// `changed` (coordinate-sorted, each once), read from `index`, the
+/// epoch's index over the compacted dictionary.
+///
+/// One [`DictionaryIndex::window_at`] per changed cell finds the
+/// occupied cells within ε of it, as layout positions; a counting sort
+/// by position turns those windows into every occupied cell's sources,
+/// ascending because the changed cells are visited in order. The dirty
+/// positions and `changed` are then walked together in coordinate
+/// order: an occupied changed cell lies in its own window, so a changed
+/// cell the walk passes without meeting its position was emptied by the
+/// batch, and is added with the changed cells its window test accepts
+/// ([`DirtyRegion::push_emptied`]).
+// lint:hot
+fn dirty_region(index: &DictionaryIndex, changed: &[CellCoord]) -> DirtyRegion {
+    let n = index.dict().num_cells();
+    let mut scratch = GatherScratch::default();
+    let mut window = Vec::with_capacity(64);
+    // Every changed cell's window, flat, with CSR offsets, and how many
+    // windows hold each position.
+    let mut hits: Vec<u32> = Vec::with_capacity(changed.len() * 16);
+    let mut hit_start: Vec<u32> = Vec::with_capacity(changed.len() + 1);
+    // lint:allow(hot-path-alloc): one zeroed count per position, once per epoch (the builder's loops allocate nothing)
+    let mut count: Vec<u32> = vec![0; n + 1];
+    hit_start.push(0);
+    for c in changed {
+        index.window_at(c.coords(), &mut scratch, &mut window);
+        for &p in &window {
+            count[p as usize] += 1;
+        }
+        hits.extend_from_slice(&window);
+        hit_start.push(hits.len() as u32);
+    }
+    // Exclusive prefix sums, then a stable scatter of the changed-cell
+    // indices by position; afterwards `count[p]` is the end of position
+    // `p`'s run in `by_pos` and `count[p − 1]` its start.
+    let mut sum = 0;
+    for c in count.iter_mut() {
+        (*c, sum) = (sum, sum + *c);
+    }
+    // lint:allow(hot-path-alloc): the scatter's target, once per epoch
+    let mut by_pos: Vec<u32> = vec![0; hits.len()];
+    for (i, w) in hit_start.windows(2).enumerate() {
+        for &p in &hits[w[0] as usize..w[1] as usize] {
+            let slot = &mut count[p as usize];
+            by_pos[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+    }
+    let dirty = n.min(hits.len()) + changed.len();
+    let mut region = DirtyRegion {
+        cells: Vec::with_capacity(dirty),
+        starts: Vec::with_capacity(dirty + 1),
+        sources: Vec::with_capacity(hits.len()),
+    };
+    region.starts.push(0);
+    let spec = index.spec();
+    let (mut start, mut next) = (0, 0);
+    for pos in 0..n as u32 {
+        let end = count[pos as usize];
+        if end == start {
+            continue;
+        }
+        let c = index.coord_at(pos);
+        while next < changed.len() && changed[next].coords() < c {
+            region.push_emptied(spec, changed, next as u32);
+            next += 1;
+        }
+        let own = next < changed.len() && changed[next].coords() == c;
+        next += usize::from(own);
+        region.cells.push(DirtyCell::Occupied { pos, changed: own });
+        region
+            .sources
+            .extend_from_slice(&by_pos[start as usize..end as usize]);
+        region.starts.push(region.sources.len() as u32);
+        start = end;
+    }
+    for e in next..changed.len() {
+        region.push_emptied(spec, changed, e as u32);
+    }
+    region
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1734,6 +1863,113 @@ mod tests {
             }
         }
         (crossed, promoted)
+    }
+
+    /// The brute-force dirty region of an epoch: every occupied or just
+    /// emptied cell, with the changed cells whose window test accepts
+    /// it, in coordinate order; cells no changed cell accepts are left
+    /// out.
+    fn brute_dirty(
+        index: &DictionaryIndex,
+        changed: &[CellCoord],
+    ) -> Vec<(CellCoord, Vec<CellCoord>)> {
+        let spec = index.spec();
+        let mut cells: Vec<CellCoord> = index
+            .dict()
+            .cells()
+            .iter()
+            .map(|e| e.coord.clone())
+            .collect();
+        cells.extend(
+            changed
+                .iter()
+                .filter(|c| index.dict().index_of(c).is_none())
+                .cloned(),
+        );
+        cells.sort_unstable();
+        cells
+            .into_iter()
+            .filter_map(|x| {
+                let sources: Vec<CellCoord> = changed
+                    .iter()
+                    .filter(|y| spec.in_eps_window(&x, y))
+                    .cloned()
+                    .collect();
+                (!sources.is_empty()).then_some((x, sources))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dirty_region_matches_brute_force_window_scan() {
+        // Dense: 2-d cells of side 1/√2 over [0, 4)², 30 points a cell
+        // at most; its windows mostly take the column walk. Sparse: 5-d, about
+        // one point per occupied cell, so removals empty cells and the
+        // windows take the kd search.
+        for (dim, extent) in [(2, 4.0), (5, 8.0)] {
+            let mut rng = StdRng::seed_from_u64(dim as u64 + 11);
+            let mut s = StreamingRpDbscan::new(dim, RpDbscanParams::new(1.0, 4)).unwrap();
+            let mut live: Vec<StreamPointId> = Vec::new();
+            let (mut emptied, mut walked) = (0, 0);
+            for epoch in 0..30 {
+                let points: Vec<f64> = if live.is_empty() || rng.gen_range(0..10) < 5 {
+                    let k = if epoch == 0 {
+                        150
+                    } else {
+                        rng.gen_range(1..=40)
+                    };
+                    let flat: Vec<f64> = (0..k * dim).map(|_| rng.gen_range(0.0..extent)).collect();
+                    live.extend(s.insert_batch(&flat).unwrap());
+                    flat
+                } else {
+                    let k = rng.gen_range(1..=live.len().min(60));
+                    let doomed: Vec<StreamPointId> = (0..k)
+                        .map(|_| live.swap_remove(rng.gen_range(0..live.len())))
+                        .collect();
+                    let flat: Vec<f64> = doomed
+                        .iter()
+                        .flat_map(|&StreamPointId(p)| {
+                            s.coords[p as usize * dim..(p as usize + 1) * dim].to_vec()
+                        })
+                        .collect();
+                    s.remove_batch(&doomed).unwrap();
+                    flat
+                };
+                let mut changed: Vec<CellCoord> = points
+                    .chunks_exact(dim)
+                    .map(|p| s.spec.cell_of(p))
+                    .collect();
+                changed.sort_unstable();
+                changed.dedup();
+                // The stream keeps the index its epoch built the region from.
+                let index = s.index();
+                walked += usize::from(index.column_walks());
+                let region = dirty_region(index, &changed);
+                let at = format!("dim {dim} epoch {epoch}");
+                let got: Vec<(CellCoord, Vec<CellCoord>)> = (0..region.len())
+                    .map(|k| {
+                        let c = region.coord(k, index, &changed).clone();
+                        let is_changed = changed.binary_search(&c).is_ok();
+                        assert_eq!(region.cells[k].changed(), is_changed, "{at}");
+                        let sources = region.sources(k).iter();
+                        (c, sources.map(|&i| changed[i as usize].clone()).collect())
+                    })
+                    .collect();
+                assert_eq!(got, brute_dirty(index, &changed), "{at}");
+                assert_eq!(s.stats.last_dirty_cells, got.len(), "{at}");
+                emptied += region
+                    .cells
+                    .iter()
+                    .filter(|c| matches!(c, DirtyCell::Emptied(_)))
+                    .count();
+            }
+            assert!(emptied > 0, "dim {dim}: no epoch emptied a cell");
+            if dim == 2 {
+                assert!(walked > 0, "the dense shape takes the column walk");
+            } else {
+                assert_eq!(walked, 0, "the sparse shape takes the kd search");
+            }
+        }
     }
 
     #[test]

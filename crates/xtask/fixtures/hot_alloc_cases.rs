@@ -56,3 +56,9 @@ pub fn hot_boxes_cells(spec: &GridSpec, rows: &[f64], out: &mut Vec<i64>) -> usi
     spec.lattice_into(&rows[..2], out);
     spec.cell_of(&rows[..2]).dim()
 }
+
+// lint:hot
+pub fn hot_boxes_lattice_points(p: &[i64]) -> usize {
+    // A boxed coordinate per lattice point is a finding.
+    CellCoord::new(p.iter().copied()).dim()
+}
